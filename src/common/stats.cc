@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/logging.h"
 
@@ -48,34 +49,43 @@ double RunningMoments::stddev() const { return std::sqrt(variance()); }
 QuantileSketch::QuantileSketch(const QuantileSketch& other) {
   std::lock_guard<std::mutex> lock(other.sort_mu_);
   values_ = other.values_;
-  sorted_ = other.sorted_;
+  sorted_prefix_ = other.sorted_prefix_;
 }
 
 QuantileSketch& QuantileSketch::operator=(const QuantileSketch& other) {
   if (this == &other) return *this;
   std::scoped_lock lock(sort_mu_, other.sort_mu_);
   values_ = other.values_;
-  sorted_ = other.sorted_;
+  sorted_prefix_ = other.sorted_prefix_;
   return *this;
 }
 
-void QuantileSketch::Add(double x) {
-  values_.push_back(x);
-  sorted_ = false;
-}
+void QuantileSketch::Add(double x) { values_.push_back(x); }
 
 void QuantileSketch::Merge(const QuantileSketch& other) {
-  if (other.values_.empty()) return;
+  // Appended samples join the unsorted tail; the prefix stays sorted.
   values_.insert(values_.end(), other.values_.begin(), other.values_.end());
-  sorted_ = false;
 }
 
 void QuantileSketch::EnsureSorted() const {
   std::lock_guard<std::mutex> lock(sort_mu_);
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
+  const size_t n = values_.size();
+  if (sorted_prefix_ == n) return;
+  const auto mid =
+      values_.begin() + static_cast<std::ptrdiff_t>(sorted_prefix_);
+  if (n - sorted_prefix_ == 1) {
+    // The simulator reads after every Add: one new sample goes in by
+    // binary search and a shift, with no allocation (inplace_merge would
+    // allocate a temporary buffer on every call).
+    const double x = values_.back();
+    const auto pos = std::upper_bound(values_.begin(), mid, x);
+    std::move_backward(pos, mid, values_.end());
+    *pos = x;
+  } else {
+    std::sort(mid, values_.end());
+    std::inplace_merge(values_.begin(), mid, values_.end());
   }
+  sorted_prefix_ = n;
 }
 
 QuantileSummary QuantileSketch::Summary() const {

@@ -41,18 +41,26 @@ struct QuantileSummary {
   double max = 0.0;
 };
 
-/// Exact quantile tracker: stores all samples, sorts lazily on query.
-/// Fine for simulation-scale data (up to a few million points).
+/// Exact quantile tracker: stores all samples and keeps a sorted prefix of
+/// them. A query sorts only the samples added since the last query and
+/// merges them into that prefix, so the simulator's add-one-then-read
+/// pattern costs a binary search plus a shift, not a full sort. Fine for
+/// simulation-scale data (up to a few million points).
+///
+/// Results equal a full std::sort of every sample, except that the
+/// relative order of -0.0 and +0.0 may differ (std::sort is not stable,
+/// and the two compare equal), which can flip the sign of a zero
+/// quantile. NaN samples are unsupported, as with std::sort.
 ///
 /// Thread-safety contract: writes (Add/Merge, the targets of assignment)
 /// are externally synchronized by the owner, but the const query methods
-/// may be called concurrently with each other — the lazy sort they share
+/// may be called concurrently with each other — the tail merge they share
 /// runs under an internal mutex, so two readers racing to be first never
 /// scribble over the same buffer.
 class QuantileSketch {
  public:
   QuantileSketch() = default;
-  /// Copying locks `other` so its lazy sort cannot race the element copy.
+  /// Copying locks `other` so its tail merge cannot race the element copy.
   QuantileSketch(const QuantileSketch& other);
   QuantileSketch& operator=(const QuantileSketch& other);
 
@@ -73,8 +81,9 @@ class QuantileSketch {
   QuantileSummary Summary() const;
 
  private:
-  /// Sorts the samples once under sort_mu_; after it returns the buffer is
-  /// stable until the next (externally synchronized) write.
+  /// Sorts the unsorted tail and merges it into the sorted prefix under
+  /// sort_mu_; after it returns the buffer is fully sorted and stable
+  /// until the next (externally synchronized) write.
   void EnsureSorted() const;
   /// Linear-interpolated q-quantile over an already-sorted buffer.
   /// Requires EnsureSorted() to have run and values_ non-empty.
@@ -82,7 +91,8 @@ class QuantileSketch {
 
   mutable std::mutex sort_mu_;
   mutable std::vector<double> values_;
-  mutable bool sorted_ = true;
+  /// values_[0, sorted_prefix_) is ascending; the rest is insertion order.
+  mutable size_t sorted_prefix_ = 0;
 };
 
 /// Fixed-bucket histogram over [lo, hi). Out-of-range samples are counted

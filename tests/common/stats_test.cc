@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -151,6 +153,153 @@ TEST(QuantileSketchTest, InterleavedAddAndQuery) {
   q.Add(20.0);
   q.Add(0.0);
   EXPECT_DOUBLE_EQ(q.Median(), 10.0);
+}
+
+// ---------------------------------------------------------------------
+// Property test: the incremental sorted-prefix sketch against a reference
+// that copies every sample and runs a full std::sort on each read.
+// ---------------------------------------------------------------------
+
+/// Shadow of a QuantileSketch: the same samples, no incremental state.
+struct ReferenceSketch {
+  std::vector<double> samples;
+
+  std::vector<double> Sorted() const {
+    std::vector<double> v = samples;
+    std::sort(v.begin(), v.end());
+    return v;
+  }
+  static double QuantileOf(const std::vector<double>& sorted, double q) {
+    if (sorted.empty()) return 0.0;
+    q = std::clamp(q, 0.0, 1.0);
+    double pos = q * static_cast<double>(sorted.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, sorted.size() - 1);
+    double frac = pos - static_cast<double>(lo);
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  }
+  double Quantile(double q) const { return QuantileOf(Sorted(), q); }
+  QuantileSummary Summary() const {
+    QuantileSummary s;
+    s.count = samples.size();
+    if (samples.empty()) return s;
+    std::vector<double> sorted = Sorted();
+    s.p50 = QuantileOf(sorted, 0.5);
+    s.p95 = QuantileOf(sorted, 0.95);
+    s.p99 = QuantileOf(sorted, 0.99);
+    s.max = sorted.back();
+    return s;
+  }
+};
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// Heavy duplicates: most samples come from a 9-value grid, the rest are
+/// continuous. All non-negative, so the +/-0.0 ordering caveat never
+/// applies.
+double DrawSample(Rng& rng) {
+  if (rng.Bernoulli(0.7)) {
+    return 0.25 * static_cast<double>(rng.UniformInt(0, 8));
+  }
+  return rng.Uniform(0.0, 3.0);
+}
+
+/// Builds a sketch plus its shadow with a random mix of adds and reads,
+/// so the sketch has a partly sorted prefix when it is merged or copied.
+void FillPair(Rng& rng, QuantileSketch* sketch, ReferenceSketch* ref) {
+  const int64_t adds = rng.UniformInt(0, 12);
+  for (int64_t i = 0; i < adds; ++i) {
+    const double x = DrawSample(rng);
+    sketch->Add(x);
+    ref->samples.push_back(x);
+    if (rng.Bernoulli(0.3)) sketch->Quantile(0.5);
+  }
+}
+
+TEST(QuantileSketchPropertyTest, InterleavingsMatchFullSortReference) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    QuantileSketch sketch;
+    ReferenceSketch ref;
+    size_t reads = 0;
+    for (int step = 0; step < 600; ++step) {
+      const int64_t op = rng.UniformInt(0, 9);
+      if (op <= 2) {  // single Add: the one-element tail path
+        const double x = DrawSample(rng);
+        sketch.Add(x);
+        ref.samples.push_back(x);
+      } else if (op == 3) {  // a burst of Adds: the sort-and-merge path
+        const int64_t burst = rng.UniformInt(2, 40);
+        for (int64_t i = 0; i < burst; ++i) {
+          const double x = DrawSample(rng);
+          sketch.Add(x);
+          ref.samples.push_back(x);
+        }
+      } else if (op == 4) {  // Merge a partly queried sketch
+        QuantileSketch other;
+        ReferenceSketch other_ref;
+        FillPair(rng, &other, &other_ref);
+        sketch.Merge(other);
+        ref.samples.insert(ref.samples.end(), other_ref.samples.begin(),
+                           other_ref.samples.end());
+      } else if (op == 5) {  // copy-construct, then carry on with the copy
+        QuantileSketch copy(sketch);
+        sketch = QuantileSketch();
+        sketch = copy;
+      } else if (op == 6) {  // assign over a non-empty sketch
+        QuantileSketch target;
+        ReferenceSketch unused;
+        FillPair(rng, &target, &unused);
+        target = sketch;
+        sketch = target;
+      } else if (op <= 8) {
+        const double q = rng.Bernoulli(0.2)
+                             ? static_cast<double>(rng.UniformInt(0, 1))
+                             : rng.Uniform(0.0, 1.0);
+        const double got = sketch.Quantile(q);
+        const double want = ref.Quantile(q);
+        ASSERT_TRUE(BitEqual(got, want))
+            << "seed " << seed << " step " << step << " q " << q << ": "
+            << got << " vs " << want;
+        ++reads;
+      } else {
+        const QuantileSummary got = sketch.Summary();
+        const QuantileSummary want = ref.Summary();
+        ASSERT_EQ(got.count, want.count) << "seed " << seed;
+        ASSERT_TRUE(BitEqual(got.p50, want.p50)) << "seed " << seed;
+        ASSERT_TRUE(BitEqual(got.p95, want.p95)) << "seed " << seed;
+        ASSERT_TRUE(BitEqual(got.p99, want.p99)) << "seed " << seed;
+        ASSERT_TRUE(BitEqual(got.max, want.max)) << "seed " << seed;
+        ++reads;
+      }
+      ASSERT_EQ(sketch.count(), ref.samples.size());
+    }
+    EXPECT_GT(reads, 100u);
+  }
+}
+
+TEST(QuantileSketchPropertyTest, AddThenReadEveryTimeMatchesFullSort) {
+  // The simulator's pattern: one Add, then one read, thousands of times.
+  Rng rng(99);
+  QuantileSketch sketch;
+  ReferenceSketch ref;
+  for (int i = 0; i < 3000; ++i) {
+    const double x = DrawSample(rng);
+    sketch.Add(x);
+    ref.samples.push_back(x);
+    if (i % 97 == 0) {
+      ASSERT_TRUE(BitEqual(sketch.Quantile(0.99), ref.Quantile(0.99))) << i;
+    } else {
+      sketch.Quantile(0.99);
+    }
+  }
+  const QuantileSummary got = sketch.Summary();
+  const QuantileSummary want = ref.Summary();
+  EXPECT_TRUE(BitEqual(got.p50, want.p50));
+  EXPECT_TRUE(BitEqual(got.p99, want.p99));
+  EXPECT_TRUE(BitEqual(got.max, want.max));
 }
 
 TEST(HistogramTest, BucketsAndFractions) {

@@ -1,7 +1,7 @@
 // Concurrency regression for QuantileSketch: the const query methods
-// (Quantile/Summary) share a lazily sorted sample buffer, and before the
-// internal sort mutex two concurrent readers could both see sorted_ ==
-// false and std::sort the same vector at once. Run under TSan (the CI
+// (Quantile/Summary) share a lazily merged sample buffer, and before the
+// internal sort mutex two concurrent readers could both see an unsorted
+// tail and sort the same vector at once. Run under TSan (the CI
 // race-check job) this catches any lost-mutex regression; under a plain
 // build it still checks that concurrent readers agree on the quantiles.
 
@@ -72,6 +72,46 @@ TEST(QuantileSketchTsanTest, ManyReadersCallSummaryConcurrently) {
       EXPECT_DOUBLE_EQ(summaries[t].p95, summaries[0].p95) << t;
       EXPECT_DOUBLE_EQ(summaries[t].p99, summaries[0].p99) << t;
       EXPECT_DOUBLE_EQ(summaries[t].max, static_cast<double>(kSamples)) << t;
+    }
+  }
+}
+
+TEST(QuantileSketchTsanTest, ReadersRaceTheFirstTailMergeAfterAdd) {
+  // After a query the sketch holds a sorted prefix; each Add leaves an
+  // unsorted tail that the *first* subsequent reader merges in. Readers
+  // racing for that merge (one-element tail, then a multi-element tail)
+  // must serialize on the sort mutex and all see the merged buffer.
+  QuantileSketch sketch;
+  for (int i = 0; i < 3000; ++i) sketch.Add(static_cast<double>(3000 - i));
+  ASSERT_DOUBLE_EQ(sketch.Quantile(1.0), 3000.0);  // sorts the prefix
+  for (int round = 0; round < 20; ++round) {
+    // Even rounds add one sample, odd rounds a burst: both merge paths.
+    const int adds = round % 2 == 0 ? 1 : 17;
+    for (int i = 0; i < adds; ++i) {
+      sketch.Add(0.5 * static_cast<double>((round * 31 + i * 7) % 6000));
+    }
+    const int kReaders = 8;
+    std::vector<double> p99s(kReaders, 0.0);
+    std::vector<QuantileSummary> summaries(kReaders);
+    std::vector<std::thread> readers;
+    readers.reserve(kReaders);
+    for (int t = 0; t < kReaders; ++t) {
+      readers.emplace_back([&sketch, &p99s, &summaries, t]() {
+        if (t % 2 == 0) {
+          p99s[t] = sketch.Quantile(0.99);
+          summaries[t] = sketch.Summary();
+        } else {
+          summaries[t] = sketch.Summary();
+          p99s[t] = sketch.Quantile(0.99);
+        }
+      });
+    }
+    for (auto& r : readers) r.join();
+    for (int t = 0; t < kReaders; ++t) {
+      EXPECT_EQ(summaries[t].count, sketch.count()) << t;
+      EXPECT_DOUBLE_EQ(p99s[t], p99s[0]) << t;
+      EXPECT_DOUBLE_EQ(summaries[t].p99, p99s[0]) << t;
+      EXPECT_DOUBLE_EQ(summaries[t].max, 3000.0) << t;
     }
   }
 }
