@@ -1,5 +1,8 @@
 #include "common/event_queue.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/logging.h"
 
 namespace ads::common {
@@ -7,7 +10,19 @@ namespace ads::common {
 void EventQueue::ScheduleAt(SimTime when, Callback cb) {
   ADS_CHECK(when >= now_) << "event scheduled in the past: " << when
                           << " < " << now_;
-  heap_.push(Event{when, next_seq_++, std::move(cb)});
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    ADS_CHECK(slots_.size() < std::numeric_limits<uint32_t>::max())
+        << "too many pending events";
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(cb);
+  }
+  heap_.push_back(Key{when, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later());
 }
 
 void EventQueue::ScheduleAfter(SimTime delay, Callback cb) {
@@ -17,17 +32,21 @@ void EventQueue::ScheduleAfter(SimTime delay, Callback cb) {
 
 bool EventQueue::Step() {
   if (heap_.empty()) return false;
-  // priority_queue::top returns const&; move out via const_cast is UB-free
-  // alternative: copy. Events are small (one std::function), copy is fine.
-  Event ev = heap_.top();
-  heap_.pop();
-  now_ = ev.when;
-  ev.cb(now_);
+  std::pop_heap(heap_.begin(), heap_.end(), Later());
+  const Key key = heap_.back();
+  heap_.pop_back();
+  // Move the callback out and free its slot before running it, so events
+  // the callback schedules can reuse the slot.
+  Callback cb = std::move(slots_[key.slot]);
+  slots_[key.slot] = nullptr;
+  free_slots_.push_back(key.slot);
+  now_ = key.when;
+  cb(now_);
   return true;
 }
 
 void EventQueue::RunUntil(SimTime horizon) {
-  while (!heap_.empty() && heap_.top().when <= horizon) {
+  while (!heap_.empty() && heap_.front().when <= horizon) {
     Step();
   }
   if (now_ < horizon) now_ = horizon;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace ads::common {
@@ -14,6 +13,12 @@ using SimTime = double;
 /// Discrete-event simulation kernel shared by the infrastructure and engine
 /// simulators. Events are (time, sequence, callback) tuples; ties on time
 /// break by insertion order so simulations are deterministic.
+///
+/// The heap orders small trivially-copyable (when, seq, slot) keys; each
+/// callback lives in a slot vector whose freed slots are reused, and is
+/// moved (never copied) out of its slot when its event runs. Callbacks
+/// that capture large state (a whole request) therefore cost no copy per
+/// heap sift or pop.
 class EventQueue {
  public:
   using Callback = std::function<void(SimTime)>;
@@ -36,13 +41,13 @@ class EventQueue {
   size_t pending() const { return heap_.size(); }
 
  private:
-  struct Event {
+  struct Key {
     SimTime when;
     uint64_t seq;
-    Callback cb;
+    uint32_t slot;  // index into slots_
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.when != b.when) return a.when > b.when;
       return a.seq > b.seq;
     }
@@ -50,7 +55,11 @@ class EventQueue {
 
   SimTime now_ = 0.0;
   uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  /// Binary min-heap on (when, seq), maintained with std::push_heap /
+  /// std::pop_heap.
+  std::vector<Key> heap_;
+  std::vector<Callback> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 /// Converts hours to simulation seconds.
