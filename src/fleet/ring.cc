@@ -1,6 +1,9 @@
 #include "fleet/ring.h"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
+#include <system_error>
 
 #include "common/logging.h"
 
@@ -10,28 +13,57 @@ HashRing::HashRing(RingOptions options) : options_(options) {
   ADS_CHECK(options_.vnodes_per_shard >= 1) << "ring needs at least 1 vnode";
 }
 
-uint64_t HashRing::HashKey(uint64_t seed, const std::string& key) {
-  // FNV-1a over the seed bytes then the key bytes: cheap, stable, and
-  // platform-independent (the same idiom as the autonomy tenant slice).
+namespace {
+
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+// FNV-1a over the seed bytes: cheap, stable, and platform-independent (the
+// same idiom as the autonomy tenant slice).
+uint64_t FnvSeed(uint64_t seed) {
   uint64_t h = 14695981039346656037ull;
   for (int shift = 0; shift < 64; shift += 8) {
     h ^= (seed >> shift) & 0xffull;
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
-  for (char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+  return h;
+}
+
+uint64_t FnvBytes(uint64_t h, const char* data, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(data[i]);
+    h *= kFnvPrime;
   }
-  // Raw FNV-1a has no avalanche on the tail bytes: keys that differ only
-  // in a trailing counter ("tenant-0".."tenant-39") land within a few
-  // thousand of each other and would collapse onto one ring arc. The
-  // murmur3 finalizer mixes every input bit into every output bit.
+  return h;
+}
+
+// Raw FNV-1a has no avalanche on the tail bytes: keys that differ only in
+// a trailing counter ("tenant-0".."tenant-39") land within a few thousand
+// of each other and would collapse onto one ring arc. The murmur3
+// finalizer mixes every input bit into every output bit.
+uint64_t Finalize(uint64_t h) {
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
   h ^= h >> 33;
   h *= 0xc4ceb9fe1a85ec53ull;
   h ^= h >> 33;
   return h;
+}
+
+}  // namespace
+
+uint64_t HashRing::HashKey(uint64_t seed, const std::string& key) {
+  return Finalize(FnvBytes(FnvSeed(seed), key.data(), key.size()));
+}
+
+uint64_t HashRing::HashKeyWithId(uint64_t seed, const std::string& key,
+                                 uint64_t id) {
+  // std::to_chars writes the same decimal digits as std::to_string.
+  char digits[std::numeric_limits<uint64_t>::digits10 + 1];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), id);
+  ADS_CHECK(ec == std::errc()) << "id does not fit its digit buffer";
+  uint64_t h = FnvBytes(FnvSeed(seed), key.data(), key.size());
+  h = FnvBytes(h, "#", 1);
+  return Finalize(FnvBytes(h, digits, static_cast<size_t>(end - digits)));
 }
 
 void HashRing::AddShard(ShardId shard) {
@@ -58,15 +90,18 @@ std::vector<ShardId> HashRing::Shards() const {
   return std::vector<ShardId>(shards_.begin(), shards_.end());
 }
 
+size_t HashRing::FirstAtOrAfter(uint64_t point) const {
+  return static_cast<size_t>(
+      std::lower_bound(ring_.begin(), ring_.end(), point,
+                       [](const std::pair<uint64_t, ShardId>& vnode,
+                          uint64_t p) { return vnode.first < p; }) -
+      ring_.begin());
+}
+
 ShardId HashRing::ShardFor(const std::string& tenant) const {
   ADS_CHECK(!ring_.empty()) << "empty hash ring";
-  const uint64_t point = HashKey(options_.seed, tenant);
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), std::make_pair(point, ShardId(0)),
-      [](const std::pair<uint64_t, ShardId>& a,
-         const std::pair<uint64_t, ShardId>& b) { return a.first < b.first; });
-  if (it == ring_.end()) it = ring_.begin();  // wrap
-  return it->second;
+  const size_t start = FirstAtOrAfter(HashKey(options_.seed, tenant));
+  return ring_[start % ring_.size()].second;  // past the last vnode: wrap
 }
 
 std::vector<ShardId> HashRing::PreferenceOrder(const std::string& tenant,
@@ -75,9 +110,7 @@ std::vector<ShardId> HashRing::PreferenceOrder(const std::string& tenant,
   std::vector<ShardId> order;
   const size_t want = std::min(k, shards_.size());
   if (want == 0) return order;
-  const uint64_t point = HashKey(options_.seed, tenant);
-  size_t start = 0;
-  while (start < ring_.size() && ring_[start].first < point) ++start;
+  const size_t start = FirstAtOrAfter(HashKey(options_.seed, tenant));
   for (size_t step = 0; step < ring_.size() && order.size() < want; ++step) {
     ShardId shard = ring_[(start + step) % ring_.size()].second;
     if (std::find(order.begin(), order.end(), shard) == order.end()) {

@@ -64,8 +64,17 @@ class HashRing {
   /// exposed so tests and the router's replica spread share one stable
   /// hash.
   static uint64_t HashKey(uint64_t seed, const std::string& key);
+  /// HashKey(seed, key + "#" + std::to_string(id)), streamed through the
+  /// same FNV-1a bytes without building the string: the router's
+  /// per-request replica spread.
+  static uint64_t HashKeyWithId(uint64_t seed, const std::string& key,
+                                uint64_t id);
 
  private:
+  /// Index of the first vnode whose point is >= `point` (binary search);
+  /// ring_.size() when `point` lies past the last vnode.
+  size_t FirstAtOrAfter(uint64_t point) const;
+
   RingOptions options_;
   /// Sorted (point, shard); ties break by shard id so a hash collision
   /// cannot make placement order-dependent.

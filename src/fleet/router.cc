@@ -62,9 +62,9 @@ RouteDecision FleetRouter::Route(const std::string& tenant,
   decision.replica =
       replicas_per_shard_ == 1
           ? 0
-          : static_cast<size_t>(HashRing::HashKey(
-                options_.ring.seed ^ 0x9e3779b97f4a7c15ull,
-                tenant + "#" + std::to_string(request_id))) %
+          : static_cast<size_t>(HashRing::HashKeyWithId(
+                options_.ring.seed ^ 0x9e3779b97f4a7c15ull, tenant,
+                request_id)) %
                 replicas_per_shard_;
   return decision;
 }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ads::fleet {
@@ -146,6 +149,83 @@ TEST(HashRingTest, HashKeyIsStable) {
             HashRing::HashKey(0x5eed, "tenant-b"));
   EXPECT_NE(HashRing::HashKey(1, "tenant-a"),
             HashRing::HashKey(2, "tenant-a"));
+}
+
+TEST(HashRingTest, HashKeyIsPinnedAcrossReleases) {
+  // Literal values: a refactor of the hash must reproduce them exactly.
+  EXPECT_EQ(HashRing::HashKey(0x5eed, "tenant-a"), 5197731771518011672ull);
+  EXPECT_EQ(HashRing::HashKeyWithId(0x5eed ^ 0x9e3779b97f4a7c15ull,
+                                    "tenant-a", UINT64_MAX),
+            14082280075261536125ull);
+}
+
+TEST(HashRingTest, HashKeyWithIdMatchesTheBuiltString) {
+  const std::vector<uint64_t> ids = {
+      0, 1, 9, 10, 1234567890, UINT64_MAX - 1, UINT64_MAX};
+  const std::vector<uint64_t> seeds = {
+      0, 0x5eed, 0x5eed ^ 0x9e3779b97f4a7c15ull, UINT64_MAX};
+  // Every tenant-name length from empty to 40, with varied bytes
+  // (including '#', digits and high-bit chars).
+  std::string tenant;
+  for (size_t len = 0; len <= 40; ++len) {
+    for (uint64_t seed : seeds) {
+      for (uint64_t id : ids) {
+        EXPECT_EQ(HashRing::HashKeyWithId(seed, tenant, id),
+                  HashRing::HashKey(seed, tenant + "#" + std::to_string(id)))
+            << "len " << len << " seed " << seed << " id " << id;
+      }
+    }
+    tenant.push_back(static_cast<char>("ab#7\xe9Z"[len % 6]));
+  }
+}
+
+/// Brute-force reference: rebuild the vnode list from the public hash,
+/// find the start with a linear scan, and walk clockwise.
+std::vector<ShardId> LinearScanPreferenceOrder(
+    const std::vector<std::pair<uint64_t, ShardId>>& vnodes, uint64_t point,
+    size_t want) {
+  size_t start = 0;
+  while (start < vnodes.size() && vnodes[start].first < point) ++start;
+  std::vector<ShardId> order;
+  for (size_t step = 0; step < vnodes.size() && order.size() < want; ++step) {
+    const ShardId shard = vnodes[(start + step) % vnodes.size()].second;
+    if (std::find(order.begin(), order.end(), shard) == order.end()) {
+      order.push_back(shard);
+    }
+  }
+  return order;
+}
+
+TEST(HashRingTest, PreferenceOrderMatchesLinearScanReference) {
+  const RingOptions options;
+  const std::vector<std::string> tenants = Tenants(10000);
+  for (size_t shards = 1; shards <= 16; ++shards) {
+    HashRing ring = RingWithShards(shards, options);
+    std::vector<std::pair<uint64_t, ShardId>> vnodes;
+    for (ShardId s = 0; s < shards; ++s) {
+      for (size_t v = 0; v < options.vnodes_per_shard; ++v) {
+        const std::string key =
+            "s" + std::to_string(s) + "#" + std::to_string(v);
+        vnodes.emplace_back(HashRing::HashKey(options.seed, key), s);
+      }
+    }
+    std::sort(vnodes.begin(), vnodes.end());
+    size_t wrapped = 0;
+    for (const std::string& tenant : tenants) {
+      const uint64_t point = HashRing::HashKey(options.seed, tenant);
+      if (point > vnodes.back().first) ++wrapped;
+      const std::vector<ShardId> want =
+          LinearScanPreferenceOrder(vnodes, point, shards);
+      ASSERT_EQ(ring.PreferenceOrder(tenant, shards), want)
+          << shards << " shards, " << tenant;
+      ASSERT_EQ(ring.ShardFor(tenant), want[0]) << tenant;
+      const size_t two = std::min<size_t>(2, shards);
+      ASSERT_EQ(ring.PreferenceOrder(tenant, 2),
+                std::vector<ShardId>(want.begin(), want.begin() + two));
+    }
+    // Some tenant hashes past the last vnode and must wrap to the first.
+    EXPECT_GT(wrapped, 0u) << shards << " shards";
+  }
 }
 
 }  // namespace
