@@ -61,8 +61,13 @@ class ThreadPool {
   template <typename F>
   auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(fn)]() mutable -> R {
+          // Accounted as `fn` returns or throws, before packaged_task
+          // publishes the result: a Stats() read right after get() sees it.
+          TaskScope scope(this);
+          return fn();
+        });
     std::future<R> future = task->get_future();
     Schedule([task]() { (*task)(); });
     return future;
@@ -98,6 +103,23 @@ class ThreadPool {
   static ThreadPool& Serial();
 
  private:
+  /// Each task accounts for itself: active_ while it runs, executed_ once
+  /// it returns or throws — before its result is published to the caller.
+  class TaskScope {
+   public:
+    explicit TaskScope(ThreadPool* pool) : pool_(pool) { ++pool_->active_; }
+    ~TaskScope() {
+      --pool_->active_;
+      ++pool_->executed_;
+    }
+    TaskScope(const TaskScope&) = delete;
+    TaskScope& operator=(const TaskScope&) = delete;
+
+   private:
+    ThreadPool* pool_;
+  };
+
+  /// Runs or enqueues a task that accounts for itself (TaskScope).
   void Schedule(std::function<void()> task);
   void WorkerLoop();
 

@@ -124,6 +124,38 @@ TEST(ThreadPoolTest, StatsCountsExecutedTasks) {
   EXPECT_EQ(after.active, 0u);
 }
 
+TEST(ThreadPoolTest, StressTinyParallelForsAndStatsAfterGet) {
+  // Thousands of tiny calls widen two windows: the last chunk finishing
+  // while the caller returns and destroys its completion state, and a
+  // Stats() read racing the counter of a task whose result was already
+  // published. Both must be closed: no crash, and exact counts every time.
+  ThreadPool pool(4);
+  uint64_t expected = 0;
+  std::atomic<size_t> sum{0};
+  for (int i = 0; i < 3000; ++i) {
+    const size_t chunks = 1 + static_cast<size_t>(i % 4);
+    pool.ParallelFor(0, chunks, 1, [&sum](size_t b, size_t e) {
+      sum.fetch_add(e - b, std::memory_order_relaxed);
+    });
+    expected += chunks;
+    ASSERT_EQ(pool.Stats().executed, expected) << "after ParallelFor " << i;
+
+    pool.Submit([]() {}).get();
+    ++expected;
+    ThreadPoolStats stats = pool.Stats();
+    ASSERT_EQ(stats.executed, expected) << "after Submit " << i;
+    ASSERT_EQ(stats.active, 0u) << "after Submit " << i;
+  }
+  EXPECT_EQ(sum.load(), 3000u / 4 * (1 + 2 + 3 + 4));
+}
+
+TEST(ThreadPoolTest, StatsCountsFailedSubmitBeforeRethrow) {
+  ThreadPool pool(2);
+  auto f = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
+  EXPECT_THROW(f.get(), std::runtime_error);
+  EXPECT_EQ(pool.Stats().executed, 1u);
+}
+
 TEST(ThreadPoolTest, StatsCountsInlineExecution) {
   ThreadPool inline_pool(0);
   inline_pool.Submit([]() {}).get();
