@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <limits>
-#include <system_error>
 
 #include "common/logging.h"
 
@@ -57,10 +56,10 @@ uint64_t HashRing::HashKey(uint64_t seed, const std::string& key) {
 
 uint64_t HashRing::HashKeyWithId(uint64_t seed, const std::string& key,
                                  uint64_t id) {
-  // std::to_chars writes the same decimal digits as std::to_string.
+  // std::to_chars writes the same decimal digits as std::to_string; the
+  // buffer holds the 20 digits of UINT64_MAX.
   char digits[std::numeric_limits<uint64_t>::digits10 + 1];
-  const auto [end, ec] = std::to_chars(digits, digits + sizeof(digits), id);
-  ADS_CHECK(ec == std::errc()) << "id does not fit its digit buffer";
+  const char* end = std::to_chars(digits, digits + sizeof(digits), id).ptr;
   uint64_t h = FnvBytes(FnvSeed(seed), key.data(), key.size());
   h = FnvBytes(h, "#", 1);
   return Finalize(FnvBytes(h, digits, static_cast<size_t>(end - digits)));
