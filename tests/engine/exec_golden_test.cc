@@ -17,7 +17,10 @@
 
 #include "common/thread_pool.h"
 #include "engine/exec_real.h"
+#include "engine/optimizer.h"
+#include "engine/plan.h"
 #include "engine/reference_exec.h"
+#include "engine/rules.h"
 #include "engine/table.h"
 #include "workload/tpch_gen.h"
 
@@ -83,6 +86,37 @@ TEST(ExecGoldenTest, TpchTemplateAnswersAreByteStable) {
 
     CheckGolden(name + ".golden", got);
   }
+}
+
+// What the learned components consume from a measured execution is
+// (op, detail, rows_in, rows_out) per plan node; timings are excluded so
+// the fixture is deterministic. Pinned for the optimized templates, the
+// plans the benchmark and the steering experiments actually run, so an
+// executor rewrite cannot silently change what those components see.
+TEST(ExecGoldenTest, OptimizedTemplateOperatorCardinalitiesAreStable) {
+  workload::TpchGenOptions opts;
+  opts.scale_factor = 0.02;
+  opts.seed = 42;
+  workload::TpchGenerator gen(opts);
+  Optimizer optimizer(&gen.catalog());
+  RealExecutor executor(&gen.store());
+
+  std::ostringstream got;
+  for (const std::string& name : gen.QueryNames()) {
+    SCOPED_TRACE(name);
+    auto logical = gen.MakeQuery(name);
+    ASSERT_TRUE(logical.ok()) << logical.status();
+    auto plan = optimizer.Optimize(*logical.value(), RuleConfig::Default());
+    ASSERT_NE(plan, nullptr);
+    auto result = executor.Execute(*plan);
+    ASSERT_TRUE(result.ok()) << result.status();
+    got << name << "\n";
+    for (const OperatorStats& op : result->operators) {
+      got << "  " << OpTypeName(op.op) << " [" << op.detail << "] rows_in="
+          << op.rows_in << " rows_out=" << op.rows_out << "\n";
+    }
+  }
+  CheckGolden("operator_cardinalities.golden", got.str());
 }
 
 }  // namespace
