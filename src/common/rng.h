@@ -67,7 +67,8 @@ class Rng {
   }
 
   /// Zipf-like categorical draw over [0, n): P(k) proportional to
-  /// 1/(k+1)^s. Used for skewed template popularity.
+  /// 1/(k+1)^s. Used for skewed template popularity. Builds a ZipfTable
+  /// per call; callers drawing many times from one support hold a table.
   int64_t Zipf(int64_t n, double s);
 
   /// Samples an index in [0, weights.size()) proportionally to weights.
@@ -86,6 +87,23 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
+};
+
+/// The Zipf distribution of Rng::Zipf as a table of cumulative weights:
+/// O(n) to build, O(log n) per draw by binary search. The weights are
+/// accumulated in index order, so a draw consumes one Uniform and returns
+/// exactly the index a front-to-back inverse-CDF scan would.
+class ZipfTable {
+ public:
+  ZipfTable(int64_t n, double s);
+
+  int64_t Sample(Rng& rng) const;
+  int64_t size() const {
+    return static_cast<int64_t>(cumulative_.size());
+  }
+
+ private:
+  std::vector<double> cumulative_;
 };
 
 }  // namespace ads::common

@@ -66,6 +66,13 @@ void TpchGenerator::Generate() {
   const auto num_parts =
       static_cast<size_t>(std::max(20.0, std::llround(sf * 2000.0) * 1.0));
 
+  // One cumulative-weight table per skewed foreign key, built once: a
+  // draw is a binary search instead of a pass over the whole support.
+  const common::ZipfTable nation_zipf(25, 0.8);
+  const common::ZipfTable customer_zipf(
+      static_cast<int64_t>(num_customers), 0.5);
+  const common::ZipfTable part_zipf(static_cast<int64_t>(num_parts), 0.6);
+
   common::Rng root(options_.seed);
   common::Rng cust_rng = root.Fork();
   common::Rng order_rng = root.Fork();
@@ -79,7 +86,7 @@ void TpchGenerator::Generate() {
     engine::Column acctbal = engine::Column::I64("c_acctbal");
     for (size_t r = 0; r < num_customers; ++r) {
       custkey.AppendI64(static_cast<int64_t>(r) + 1);
-      nationkey.AppendI64(cust_rng.Zipf(25, 0.8));
+      nationkey.AppendI64(nation_zipf.Sample(cust_rng));
       mktsegment.AppendI64(cust_rng.UniformInt(0, 4));
       acctbal.AppendI64(cust_rng.UniformInt(-99999, 999999));  // cents
     }
@@ -103,8 +110,7 @@ void TpchGenerator::Generate() {
       orderkey.AppendI64(static_cast<int64_t>(r) + 1);
       // Zipf-skewed FK: a few customers place many orders, which is where
       // the uniformity-based join estimate goes wrong.
-      custkey.AppendI64(
-          1 + order_rng.Zipf(static_cast<int64_t>(num_customers), 0.5));
+      custkey.AppendI64(1 + customer_zipf.Sample(order_rng));
       order_dates[r] = order_rng.UniformInt(0, kMaxDate - 121);
       orderdate.AppendI64(order_dates[r]);
       priority.AppendI64(order_rng.UniformInt(0, 4));
@@ -133,8 +139,7 @@ void TpchGenerator::Generate() {
       const int64_t lines = line_rng.UniformInt(1, 7);
       for (int64_t l = 0; l < lines; ++l) {
         orderkey.AppendI64(static_cast<int64_t>(o) + 1);
-        partkey.AppendI64(
-            1 + line_rng.Zipf(static_cast<int64_t>(num_parts), 0.6));
+        partkey.AppendI64(1 + part_zipf.Sample(line_rng));
         quantity.AppendI64(line_rng.UniformInt(1, 50));
         extendedprice.AppendI64(line_rng.UniformInt(90000, 10500000));
         discount.AppendI64(line_rng.UniformInt(0, 10));  // percent

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 namespace ads::common {
@@ -82,6 +84,49 @@ TEST(RngTest, ZipfIsSkewedTowardSmallIndices) {
   }
   EXPECT_GT(counts[0], counts[4]);
   EXPECT_GT(counts[1], counts[8]);
+}
+
+// The linear inverse-CDF scan ZipfTable replaced, kept as the oracle: a
+// table draw must return the same index and consume the same stream.
+int64_t LinearScanZipf(Rng& rng, int64_t n, double s) {
+  double total = 0.0;
+  for (int64_t k = 0; k < n; ++k) total += 1.0 / std::pow(k + 1, s);
+  double u = rng.Uniform(0.0, total);
+  double acc = 0.0;
+  for (int64_t k = 0; k < n; ++k) {
+    acc += 1.0 / std::pow(k + 1, s);
+    if (u <= acc) return k;
+  }
+  return n - 1;
+}
+
+TEST(RngTest, ZipfTableDrawsMatchTheLinearScan) {
+  struct Case {
+    int64_t n;
+    double s;
+    uint64_t seed;
+  };
+  const std::vector<Case> cases = {{1, 0.8, 3},    {2, 0.5, 5},
+                                   {25, 0.8, 7},   {1500, 0.5, 11},
+                                   {2000, 0.6, 13}, {10, 1.2, 17},
+                                   {300, 0.0, 19},  {64, 2.5, 23}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n) + " s=" + std::to_string(c.s));
+    const ZipfTable table(c.n, c.s);
+    EXPECT_EQ(table.size(), c.n);
+    Rng oracle(c.seed);
+    Rng sampled(c.seed);
+    Rng delegated(c.seed);
+    for (int i = 0; i < 2000; ++i) {
+      const int64_t want = LinearScanZipf(oracle, c.n, c.s);
+      ASSERT_EQ(table.Sample(sampled), want) << "draw " << i;
+      ASSERT_EQ(delegated.Zipf(c.n, c.s), want) << "draw " << i;
+    }
+    // Same number of engine steps consumed: the streams stay in lockstep.
+    const uint64_t next = oracle.engine()();
+    EXPECT_EQ(sampled.engine()(), next);
+    EXPECT_EQ(delegated.engine()(), next);
+  }
 }
 
 TEST(RngTest, CategoricalRespectsWeights) {
