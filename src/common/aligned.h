@@ -81,8 +81,15 @@ class AlignedBuffer {
   /// the steady-state scratch pattern: first call allocates, later calls
   /// with the same bound are allocation-free.
   void EnsureCapacity(size_t n) {
+    if (size_ < n) ResizeForOverwrite(n);
+  }
+
+  /// Sets the size to n without initializing new elements — for a buffer
+  /// the caller is about to overwrite in full, where resize() would write
+  /// every element twice. Grows to exactly n; shrinking keeps the storage.
+  void ResizeForOverwrite(size_t n) {
     reserve(n);
-    if (size_ < n) size_ = n;
+    size_ = n;
   }
 
   void push_back(const T& value) {

@@ -57,6 +57,16 @@ class Column {
     }
   }
 
+  /// Resize without initializing new values, for a kernel that is about
+  /// to write every row (see AlignedBuffer::ResizeForOverwrite).
+  void ResizeForOverwrite(size_t n) {
+    if (type_ == ColumnType::kI64) {
+      i64_.ResizeForOverwrite(n);
+    } else {
+      f64_.ResizeForOverwrite(n);
+    }
+  }
+
   void AppendI64(int64_t v) {
     ADS_CHECK(type_ == ColumnType::kI64) << name_ << " is not i64";
     i64_.push_back(v);

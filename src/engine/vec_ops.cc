@@ -100,7 +100,7 @@ size_t BitmapToSelection(const uint64_t* bits, size_t rows,
 void GatherColumn(const Column& src, const uint32_t* sel, size_t n,
                   common::ThreadPool& pool, Column* out) {
   *out = Column(src.name(), src.type());
-  out->Resize(n);
+  out->ResizeForOverwrite(n);
   if (src.type() == ColumnType::kI64) {
     const int64_t* in = src.i64_data();
     int64_t* dst = out->i64_data();
@@ -127,13 +127,13 @@ void JoinHashTable::Build(const Column& keys, uint64_t seed) {
       << "join keys must be i64: " << keys.name();
   seed_ = seed;
   const size_t n = keys.size();
-  keys_.resize(n);
+  keys_.ResizeForOverwrite(n);
   for (size_t i = 0; i < n; ++i) keys_[i] = keys.I64At(i);
   const size_t buckets = NextPow2(std::max<size_t>(16, 2 * n));
   mask_ = buckets - 1;
-  heads_.resize(buckets);
+  heads_.ResizeForOverwrite(buckets);
   for (size_t b = 0; b < buckets; ++b) heads_[b] = -1;
-  next_.resize(n);
+  next_.ResizeForOverwrite(n);
   // Insert back to front with push-front chaining, so every chain lists
   // build rows in ascending order — the probe then emits matches in the
   // same order a front-to-back nested loop would.
@@ -177,8 +177,8 @@ void JoinHashTable::Probe(const Column& probe_keys, common::ThreadPool& pool,
     chunk_offset[c + 1] = chunk_offset[c] + chunk_matches[c];
   }
   const size_t total = static_cast<size_t>(chunk_offset[num_chunks]);
-  probe_idx->resize(total);
-  build_idx->resize(total);
+  probe_idx->ResizeForOverwrite(total);
+  build_idx->ResizeForOverwrite(total);
   uint32_t* out_probe = probe_idx->data();
   uint32_t* out_build = build_idx->data();
 
@@ -202,7 +202,7 @@ void JoinHashTable::Probe(const Column& probe_keys, common::ThreadPool& pool,
 
 void GroupIndex::Build(const std::vector<const Column*>& keys, size_t rows,
                        uint64_t seed) {
-  group_of_row_.resize(rows);
+  group_of_row_.ResizeForOverwrite(rows);
   representative_row_.clear();
   if (keys.empty()) {
     for (size_t r = 0; r < rows; ++r) group_of_row_[r] = 0;

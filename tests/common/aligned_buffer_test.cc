@@ -90,5 +90,23 @@ TEST(AlignedBuffer, EnsureCapacityIsAllocationFreeInSteadyState) {
   }
 }
 
+TEST(AlignedBuffer, ResizeForOverwriteKeepsPrefixAndGrowsExactly) {
+  AlignedBuffer<int64_t> buf;
+  buf.push_back(7);
+  buf.push_back(9);
+  buf.ResizeForOverwrite(1000);
+  EXPECT_TRUE(IsAligned(buf.data()));
+  EXPECT_EQ(buf.size(), 1000u);
+  EXPECT_EQ(buf.capacity(), 1000u);  // no doubling slack
+  EXPECT_EQ(buf[0], 7);
+  EXPECT_EQ(buf[1], 9);
+  // Shrinking only moves the size; the storage stays.
+  const int64_t* p = buf.data();
+  buf.ResizeForOverwrite(3);
+  EXPECT_EQ(buf.size(), 3u);
+  EXPECT_EQ(buf.data(), p);
+  EXPECT_EQ(buf[1], 9);
+}
+
 }  // namespace
 }  // namespace ads::common
