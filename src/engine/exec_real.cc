@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <numeric>
 #include <sstream>
 
@@ -68,8 +69,115 @@ std::string NodeDetail(const PlanNode& node) {
 
 }  // namespace
 
+/// The columns a node's output must carry for the operators above it:
+/// everything (`all`, the root's demand and union's) or a set of names.
+struct RealExecutor::Demand {
+  bool all = false;
+  std::vector<std::string> names;
+
+  bool Wants(const std::string& name) const {
+    return all ||
+           std::find(names.begin(), names.end(), name) != names.end();
+  }
+  void Add(const std::string& name) {
+    if (!Wants(name)) names.push_back(name);
+  }
+
+  /// The demand `node` places on its children when this is the demand on
+  /// `node`. Filter, Sort and Join add the columns they read; Project and
+  /// Aggregate demand exactly the columns they name; Union demands
+  /// everything because its schema check is positional.
+  Demand OnChildrenOf(const PlanNode& node) const {
+    Demand child;
+    switch (node.op) {
+      case OpType::kScan:
+        break;
+      case OpType::kFilter:
+        child = *this;
+        for (const Predicate& pred : node.predicates) child.Add(pred.column);
+        break;
+      case OpType::kSort:
+        child = *this;
+        for (const std::string& name : node.columns) child.Add(name);
+        break;
+      case OpType::kJoin:
+        // Keys resolve against either side by schema, so both sides are
+        // asked for both keys; each side has only the ones it contains.
+        child = *this;
+        child.Add(node.join.left_key);
+        child.Add(node.join.right_key);
+        break;
+      case OpType::kProject:
+        for (const std::string& name : node.columns) child.Add(name);
+        break;
+      case OpType::kAggregate:
+        for (const std::string& key : node.agg.group_keys) child.Add(key);
+        for (const AggExpr& agg : node.agg.aggs) {
+          if (!agg.column.empty()) child.Add(agg.column);
+        }
+        break;
+      case OpType::kUnion:
+        child.all = true;
+        break;
+    }
+    return child;
+  }
+};
+
+/// An intermediate result: column pointers plus an explicit row count, so
+/// a relation none of whose columns is demanded still knows its size.
+/// Each column is borrowed from the TableStore or owned by `owned`.
+struct RealExecutor::Relation {
+  std::string name;
+  size_t rows = 0;
+  std::vector<const Column*> columns;
+  std::vector<std::unique_ptr<Column>> owned;
+
+  const Column* Find(const std::string& column) const {
+    for (const Column* c : columns) {
+      if (c->name() == column) return c;
+    }
+    return nullptr;
+  }
+  void Own(Column column) {
+    owned.push_back(std::make_unique<Column>(std::move(column)));
+    columns.push_back(owned.back().get());
+  }
+  /// Appends the columns of `input` that `demand` wants, gathered at the
+  /// `rows` row indices in `sel`.
+  void GatherFrom(const Relation& input, const Demand& demand,
+                  const uint32_t* sel, common::ThreadPool& pool) {
+    for (const Column* c : input.columns) {
+      if (!demand.Wants(c->name())) continue;
+      Column gathered;
+      GatherColumn(*c, sel, rows, pool, &gathered);
+      Own(std::move(gathered));
+    }
+  }
+  /// The root's answer as an owned table: moves the columns an operator
+  /// computed, copies those still borrowed from the store (or named twice
+  /// by a project).
+  ColumnTable Materialize() && {
+    ColumnTable table(name);
+    for (size_t i = 0; i < columns.size(); ++i) {
+      const Column* c = columns[i];
+      auto owner = std::find_if(
+          owned.begin(), owned.end(),
+          [c](const std::unique_ptr<Column>& o) { return o.get() == c; });
+      const bool named_again =
+          std::find(columns.begin() + i + 1, columns.end(), c) !=
+          columns.end();
+      if (owner != owned.end() && !named_again) {
+        table.AddColumn(std::move(**owner));
+      } else {
+        table.AddColumn(*c);
+      }
+    }
+    return table;
+  }
+};
+
 struct RealExecutor::ExecContext {
-  common::ThreadPool* pool = nullptr;
   telemetry::Tracer* tracer = nullptr;
   double start_time = 0.0;
   std::vector<OperatorStats>* operators = nullptr;
@@ -78,25 +186,30 @@ struct RealExecutor::ExecContext {
 RealExecutor::RealExecutor(const TableStore* store, RealExecOptions options)
     : store_(store), options_(options) {}
 
+common::ThreadPool& RealExecutor::pool() const {
+  return options_.pool != nullptr ? *options_.pool
+                                  : common::ThreadPool::Global();
+}
+
 common::Result<ExecResult> RealExecutor::Execute(
     const PlanNode& plan, telemetry::Tracer* tracer,
     telemetry::SpanId parent) const {
   ExecResult result;
   ExecContext ctx;
-  ctx.pool =
-      options_.pool != nullptr ? options_.pool : &common::ThreadPool::Global();
   ctx.tracer = tracer;
   ctx.start_time = Now();
   ctx.operators = &result.operators;
-  auto table = Exec(plan, ctx, parent);
-  if (!table.ok()) return table.status();
-  result.table = std::move(table).value();
+  Demand root;
+  root.all = true;
+  auto rel = Exec(plan, root, ctx, parent);
+  if (!rel.ok()) return rel.status();
+  result.table = std::move(rel.value()).Materialize();
   result.total_seconds = Now() - ctx.start_time;
   return result;
 }
 
-common::Result<ColumnTable> RealExecutor::Exec(
-    const PlanNode& node, ExecContext& ctx,
+common::Result<RealExecutor::Relation> RealExecutor::Exec(
+    const PlanNode& node, const Demand& demand, ExecContext& ctx,
     telemetry::SpanId parent) const {
   telemetry::SpanId span = telemetry::kNoSpan;
   if (ctx.tracer != nullptr) {
@@ -107,10 +220,11 @@ common::Result<ColumnTable> RealExecutor::Exec(
   }
 
   uint64_t rows_in = 0;
-  std::vector<ColumnTable> inputs;
+  std::vector<Relation> inputs;
   inputs.reserve(node.children.size());
+  const Demand child_demand = demand.OnChildrenOf(node);
   for (const auto& child : node.children) {
-    auto in = Exec(*child, ctx, span);
+    auto in = Exec(*child, child_demand, ctx, span);
     if (!in.ok()) {
       if (ctx.tracer != nullptr) {
         ctx.tracer->Annotate(span, "outcome", "error");
@@ -118,27 +232,28 @@ common::Result<ColumnTable> RealExecutor::Exec(
       }
       return in.status();
     }
-    rows_in += in->num_rows();
+    rows_in += in->rows;
     inputs.push_back(std::move(in).value());
   }
 
   const double op_start = Now();
-  common::Result<ColumnTable> out = [&]() -> common::Result<ColumnTable> {
+  common::Result<Relation> out = [&]() -> common::Result<Relation> {
     switch (node.op) {
       case OpType::kScan:
         return ExecScan(node);
       case OpType::kFilter:
-        return ExecFilter(node, std::move(inputs[0]));
+        return ExecFilter(node, std::move(inputs[0]), demand);
       case OpType::kProject:
         return ExecProject(node, std::move(inputs[0]));
       case OpType::kJoin:
-        return ExecJoin(node, std::move(inputs[0]), std::move(inputs[1]));
+        return ExecJoin(node, std::move(inputs[0]), std::move(inputs[1]),
+                        demand);
       case OpType::kAggregate:
         return ExecAggregate(node, std::move(inputs[0]));
       case OpType::kSort:
-        return ExecSort(node, std::move(inputs[0]));
+        return ExecSort(node, std::move(inputs[0]), demand);
       case OpType::kUnion:
-        return ExecUnion(node, std::move(inputs[0]), std::move(inputs[1]));
+        return ExecUnion(std::move(inputs[0]), std::move(inputs[1]));
     }
     return common::Status::Unimplemented("unknown operator");
   }();
@@ -156,7 +271,7 @@ common::Result<ColumnTable> RealExecutor::Exec(
   stats.op = node.op;
   stats.detail = NodeDetail(node);
   stats.rows_in = rows_in;
-  stats.rows_out = out->num_rows();
+  stats.rows_out = out->rows;
   stats.est_card = node.est_card;
   stats.true_card = node.true_card;
   stats.seconds = op_seconds;
@@ -164,83 +279,82 @@ common::Result<ColumnTable> RealExecutor::Exec(
 
   if (ctx.tracer != nullptr) {
     ctx.tracer->Annotate(span, "rows_in", std::to_string(rows_in));
-    ctx.tracer->Annotate(span, "rows_out", std::to_string(out->num_rows()));
+    ctx.tracer->Annotate(span, "rows_out", std::to_string(out->rows));
     ctx.tracer->EndSpan(span, Now() - ctx.start_time);
   }
   return out;
 }
 
-common::Result<ColumnTable> RealExecutor::ExecScan(
+common::Result<RealExecutor::Relation> RealExecutor::ExecScan(
     const PlanNode& node) const {
   const ColumnTable* table = store_->FindTable(node.table);
   if (table == nullptr) {
     return common::Status::NotFound("no stored table named " + node.table +
                                     " (is this a simulated-only plan?)");
   }
-  ColumnTable out(table->name());
+  Relation out;
+  out.name = table->name();
+  out.rows = table->num_rows();
   if (node.columns.empty()) {
-    for (const Column& c : table->columns()) out.AddColumn(c);
+    for (const Column& c : table->columns()) out.columns.push_back(&c);
     return out;
   }
   // ProjectIntoScan narrowing: emit only the surviving columns.
   for (const std::string& name : node.columns) {
     const Column* c = table->FindColumn(name);
     if (c == nullptr) return MissingColumn(name, "scan of " + node.table);
-    out.AddColumn(*c);
+    out.columns.push_back(c);
   }
   return out;
 }
 
-common::Result<ColumnTable> RealExecutor::ExecFilter(
-    const PlanNode& node, ColumnTable input) const {
+common::Result<RealExecutor::Relation> RealExecutor::ExecFilter(
+    const PlanNode& node, Relation input, const Demand& demand) const {
   if (node.predicates.empty()) return input;
-  common::ThreadPool& pool = options_.pool != nullptr
-                                 ? *options_.pool
-                                 : common::ThreadPool::Global();
-  const size_t rows = input.num_rows();
+  const size_t rows = input.rows;
   const size_t words = BitmapWords(rows);
   common::AlignedBuffer<uint64_t> acc(words);
   common::AlignedBuffer<uint64_t> scratch(words);
   for (size_t p = 0; p < node.predicates.size(); ++p) {
     const Predicate& pred = node.predicates[p];
-    const Column* col = input.FindColumn(pred.column);
+    const Column* col = input.Find(pred.column);
     if (col == nullptr) return MissingColumn(pred.column, "filter input");
     uint64_t* target = p == 0 ? acc.data() : scratch.data();
-    PredicateBitmap(*col, pred.op, pred.value, pool, target);
+    PredicateBitmap(*col, pred.op, pred.value, pool(), target);
     if (p > 0) BitmapAndInPlace(acc.data(), scratch.data(), words);
   }
   common::AlignedBuffer<uint32_t> sel;
-  const size_t n = BitmapToSelection(acc.data(), rows, &sel);
-  ColumnTable out(input.name());
-  for (const Column& c : input.columns()) {
-    Column gathered;
-    GatherColumn(c, sel.data(), n, pool, &gathered);
-    out.AddColumn(std::move(gathered));
-  }
+  Relation out;
+  out.name = input.name;
+  out.rows = BitmapToSelection(acc.data(), rows, &sel);
+  out.GatherFrom(input, demand, sel.data(), pool());
   return out;
 }
 
-common::Result<ColumnTable> RealExecutor::ExecProject(
-    const PlanNode& node, ColumnTable input) const {
-  ColumnTable out(input.name());
+common::Result<RealExecutor::Relation> RealExecutor::ExecProject(
+    const PlanNode& node, Relation input) const {
+  Relation out;
+  out.name = input.name;
+  out.rows = input.rows;
   for (const std::string& name : node.columns) {
-    const Column* c = input.FindColumn(name);
+    const Column* c = input.Find(name);
     if (c == nullptr) return MissingColumn(name, "project input");
-    out.AddColumn(*c);
+    out.columns.push_back(c);
   }
+  out.owned = std::move(input.owned);
   return out;
 }
 
-common::Result<ColumnTable> RealExecutor::ExecJoin(const PlanNode& node,
-                                                   ColumnTable left,
-                                                   ColumnTable right) const {
+common::Result<RealExecutor::Relation> RealExecutor::ExecJoin(
+    const PlanNode& node, Relation left, Relation right,
+    const Demand& demand) const {
   // Resolve which side owns which key by schema, not by position: the
   // commute/associativity rules move keys freely.
-  const Column* lkey = left.FindColumn(node.join.left_key);
-  const Column* rkey = right.FindColumn(node.join.right_key);
+  const Column* lkey = left.Find(node.join.left_key);
+  const Column* rkey = right.Find(node.join.right_key);
   if (lkey == nullptr || rkey == nullptr) {
-    lkey = left.FindColumn(node.join.right_key);
-    rkey = right.FindColumn(node.join.left_key);
+    lkey = left.Find(node.join.right_key);
+    rkey = right.Find(node.join.left_key);
   }
   if (lkey == nullptr || rkey == nullptr) {
     return common::Status::NotFound("join keys " + node.join.left_key +
@@ -251,39 +365,29 @@ common::Result<ColumnTable> RealExecutor::ExecJoin(const PlanNode& node,
     return common::Status::Unimplemented("join keys must be i64 columns");
   }
 
-  common::ThreadPool& pool = options_.pool != nullptr
-                                 ? *options_.pool
-                                 : common::ThreadPool::Global();
   // Build over the right input, probe with the left in row order: output
   // row order is (left row asc, right matches asc) — the defined order.
   JoinHashTable table;
   table.Build(*rkey, options_.hash_seed);
   common::AlignedBuffer<uint32_t> probe_idx;
   common::AlignedBuffer<uint32_t> build_idx;
-  table.Probe(*lkey, pool, &probe_idx, &build_idx);
+  table.Probe(*lkey, pool(), &probe_idx, &build_idx);
 
-  const size_t n = probe_idx.size();
-  ColumnTable out(left.name() + "_x_" + right.name());
-  for (const Column& c : left.columns()) {
-    Column gathered;
-    GatherColumn(c, probe_idx.data(), n, pool, &gathered);
-    out.AddColumn(std::move(gathered));
-  }
-  for (const Column& c : right.columns()) {
-    Column gathered;
-    GatherColumn(c, build_idx.data(), n, pool, &gathered);
-    out.AddColumn(std::move(gathered));
-  }
+  Relation out;
+  out.name = left.name + "_x_" + right.name;
+  out.rows = probe_idx.size();
+  out.GatherFrom(left, demand, probe_idx.data(), pool());
+  out.GatherFrom(right, demand, build_idx.data(), pool());
   return out;
 }
 
-common::Result<ColumnTable> RealExecutor::ExecAggregate(
-    const PlanNode& node, ColumnTable input) const {
-  const size_t rows = input.num_rows();
+common::Result<RealExecutor::Relation> RealExecutor::ExecAggregate(
+    const PlanNode& node, Relation input) const {
+  const size_t rows = input.rows;
 
   std::vector<const Column*> key_cols;
   for (const std::string& key : node.agg.group_keys) {
-    const Column* c = input.FindColumn(key);
+    const Column* c = input.Find(key);
     if (c == nullptr) {
       return MissingColumn(key,
                            "aggregate input (eager-aggregation partials "
@@ -306,7 +410,7 @@ common::Result<ColumnTable> RealExecutor::ExecAggregate(
       }
       continue;
     }
-    agg_cols[a] = input.FindColumn(aggs[a].column);
+    agg_cols[a] = input.Find(aggs[a].column);
     if (agg_cols[a] == nullptr) {
       return MissingColumn(aggs[a].column, "aggregate input");
     }
@@ -321,14 +425,16 @@ common::Result<ColumnTable> RealExecutor::ExecAggregate(
   const size_t groups = global_empty ? 1 : index.num_groups();
   const auto& group_of_row = index.group_of_row();
 
-  ColumnTable out("agg_" + input.name());
+  Relation out;
+  out.name = "agg_" + input.name;
+  out.rows = groups;
   for (size_t k = 0; k < key_cols.size(); ++k) {
     Column keys = Column::I64(key_cols[k]->name());
     keys.Reserve(groups);
     for (size_t g = 0; g < groups; ++g) {
       keys.AppendI64(key_cols[k]->I64At(index.representative_row()[g]));
     }
-    out.AddColumn(std::move(keys));
+    out.Own(std::move(keys));
   }
 
   // Per-group counts, shared by count/avg.
@@ -341,7 +447,7 @@ common::Result<ColumnTable> RealExecutor::ExecAggregate(
     const ColumnType in_type =
         in == nullptr ? ColumnType::kI64 : in->type();
     Column result(spec.OutputName(), AggOutputType(spec.fn, in_type));
-    result.Resize(groups);
+    result.ResizeForOverwrite(groups);
     switch (spec.fn) {
       case AggFn::kCount: {
         for (size_t g = 0; g < groups; ++g) result.I64At(g) = counts[g];
@@ -426,20 +532,20 @@ common::Result<ColumnTable> RealExecutor::ExecAggregate(
         break;
       }
     }
-    out.AddColumn(std::move(result));
+    out.Own(std::move(result));
   }
   return out;
 }
 
-common::Result<ColumnTable> RealExecutor::ExecSort(const PlanNode& node,
-                                                   ColumnTable input) const {
+common::Result<RealExecutor::Relation> RealExecutor::ExecSort(
+    const PlanNode& node, Relation input, const Demand& demand) const {
   std::vector<const Column*> sort_cols;
   for (const std::string& name : node.columns) {
-    const Column* c = input.FindColumn(name);
+    const Column* c = input.Find(name);
     if (c == nullptr) return MissingColumn(name, "sort input");
     sort_cols.push_back(c);
   }
-  const size_t rows = input.num_rows();
+  const size_t rows = input.rows;
   common::AlignedBuffer<uint32_t> order(rows);
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(),
@@ -457,37 +563,32 @@ common::Result<ColumnTable> RealExecutor::ExecSort(const PlanNode& node,
                      }
                      return false;
                    });
-  common::ThreadPool& pool = options_.pool != nullptr
-                                 ? *options_.pool
-                                 : common::ThreadPool::Global();
-  ColumnTable out(input.name());
-  for (const Column& c : input.columns()) {
-    Column gathered;
-    GatherColumn(c, order.data(), rows, pool, &gathered);
-    out.AddColumn(std::move(gathered));
-  }
+  Relation out;
+  out.name = input.name;
+  out.rows = rows;
+  out.GatherFrom(input, demand, order.data(), pool());
   return out;
 }
 
-common::Result<ColumnTable> RealExecutor::ExecUnion(const PlanNode& node,
-                                                    ColumnTable left,
-                                                    ColumnTable right) const {
-  (void)node;
-  if (left.num_columns() != right.num_columns()) {
+common::Result<RealExecutor::Relation> RealExecutor::ExecUnion(
+    Relation left, Relation right) const {
+  if (left.columns.size() != right.columns.size()) {
     return common::Status::InvalidArgument("union schema mismatch");
   }
-  for (size_t i = 0; i < left.num_columns(); ++i) {
-    if (left.ColumnAt(i).name() != right.ColumnAt(i).name() ||
-        left.ColumnAt(i).type() != right.ColumnAt(i).type()) {
+  for (size_t i = 0; i < left.columns.size(); ++i) {
+    if (left.columns[i]->name() != right.columns[i]->name() ||
+        left.columns[i]->type() != right.columns[i]->type()) {
       return common::Status::InvalidArgument("union schema mismatch");
     }
   }
-  ColumnTable out(left.name());
-  for (size_t i = 0; i < left.num_columns(); ++i) {
-    Column c = left.ColumnAt(i);
-    const Column& rc = right.ColumnAt(i);
+  Relation out;
+  out.name = left.name;
+  out.rows = left.rows + right.rows;
+  for (size_t i = 0; i < left.columns.size(); ++i) {
+    Column c = *left.columns[i];
+    const Column& rc = *right.columns[i];
     for (size_t r = 0; r < rc.size(); ++r) c.AppendFrom(rc, r);
-    out.AddColumn(std::move(c));
+    out.Own(std::move(c));
   }
   return out;
 }

@@ -57,6 +57,17 @@ struct RealExecOptions {
 /// aggregates and ContradictionToEmpty's "<empty>" relation — fail with
 /// a clean Status instead of executing wrong.
 ///
+/// Late materialization (DESIGN.md §15): intermediates are column
+/// pointers plus an explicit row count. Scans borrow the TableStore's
+/// columns and copy nothing, so the store must outlive Execute and stay
+/// unmodified during it. A top-down demand pass tells every node which of
+/// its output columns the operators above still reference; Filter, Join
+/// and Sort gather only those. The root demands its full schema and
+/// Execute materializes it into ExecResult::table, moving the columns an
+/// operator computed and copying the ones still borrowed from the store.
+/// Scan and Project still check every column they name, so a plan fails
+/// with the same Status whether or not anything above reads the column.
+///
 /// Output order is fully defined (see DESIGN.md §15), so results are
 /// exactly comparable against the row-at-a-time ReferenceExecutor.
 ///
@@ -75,23 +86,25 @@ class RealExecutor {
 
  private:
   struct ExecContext;
-  common::Result<ColumnTable> Exec(const PlanNode& node, ExecContext& ctx,
-                                   telemetry::SpanId parent) const;
-  common::Result<ColumnTable> ExecScan(const PlanNode& node) const;
-  common::Result<ColumnTable> ExecFilter(const PlanNode& node,
-                                         ColumnTable input) const;
-  common::Result<ColumnTable> ExecProject(const PlanNode& node,
-                                          ColumnTable input) const;
-  common::Result<ColumnTable> ExecJoin(const PlanNode& node,
-                                       ColumnTable left,
-                                       ColumnTable right) const;
-  common::Result<ColumnTable> ExecAggregate(const PlanNode& node,
-                                            ColumnTable input) const;
-  common::Result<ColumnTable> ExecSort(const PlanNode& node,
-                                       ColumnTable input) const;
-  common::Result<ColumnTable> ExecUnion(const PlanNode& node,
-                                        ColumnTable left,
-                                        ColumnTable right) const;
+  struct Demand;
+  struct Relation;
+  common::Result<Relation> Exec(const PlanNode& node, const Demand& demand,
+                                ExecContext& ctx,
+                                telemetry::SpanId parent) const;
+  common::Result<Relation> ExecScan(const PlanNode& node) const;
+  common::Result<Relation> ExecFilter(const PlanNode& node, Relation input,
+                                      const Demand& demand) const;
+  common::Result<Relation> ExecProject(const PlanNode& node,
+                                       Relation input) const;
+  common::Result<Relation> ExecJoin(const PlanNode& node, Relation left,
+                                    Relation right,
+                                    const Demand& demand) const;
+  common::Result<Relation> ExecAggregate(const PlanNode& node,
+                                         Relation input) const;
+  common::Result<Relation> ExecSort(const PlanNode& node, Relation input,
+                                    const Demand& demand) const;
+  common::Result<Relation> ExecUnion(Relation left, Relation right) const;
+  common::ThreadPool& pool() const;
 
   const TableStore* store_;
   RealExecOptions options_;
