@@ -12,14 +12,17 @@
 //   - a deterministic answer table on stdout (query, rows, checksum):
 //     byte-identical across runs and across ADS_THREADS, which CI diffs
 //     at ADS_THREADS=1 vs 4;
-//   - timing and cardinality tables (suppressed under --smoke so the
-//     deterministic stdout stays diffable);
+//   - timing and cardinality tables with each template's per-operator
+//     time shares (scan/filter/join/aggregate, from the measured
+//     OperatorStats over the timed runs), suppressed under --smoke so
+//     the deterministic stdout stays diffable;
 //   - machine-readable metrics as JSON (--out=PATH, default
 //     BENCH_p7.json).
 //
 // `--smoke` shrinks the scale factor and repetitions for CI.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -70,6 +73,14 @@ double BestSeconds(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+/// Operator types whose share of execution time the timing table reports.
+constexpr std::array<std::pair<engine::OpType, const char*>, 4> kShareOps = {{
+    {engine::OpType::kScan, "scan"},
+    {engine::OpType::kFilter, "filter"},
+    {engine::OpType::kJoin, "join"},
+    {engine::OpType::kAggregate, "aggregate"},
+}};
+
 double StoreBytes(const engine::TableStore& store, const std::string& name) {
   const engine::ColumnTable* t = store.FindTable(name);
   return static_cast<double>(t->num_rows() * t->num_columns() * 8);
@@ -119,6 +130,8 @@ void Run() {
     double est_card = 0.0;
     double actual = 0.0;
     double max_q_error = 0.0;
+    /// Share of Execute's measured time spent in each kShareOps operator.
+    std::array<double, kShareOps.size()> op_share{};
   };
   std::vector<Timing> timings;
 
@@ -147,10 +160,21 @@ void Run() {
       auto r = reference.Execute(*plan);
       ADS_CHECK(r.ok());
     });
+    std::array<double, kShareOps.size()> op_seconds{};
+    double execute_seconds = 0.0;
     t.vec_s = BestSeconds(reps, [&] {
       auto r = vectorized.Execute(*plan);
       ADS_CHECK(r.ok());
+      execute_seconds += r->total_seconds;
+      for (const engine::OperatorStats& op : r->operators) {
+        for (size_t k = 0; k < kShareOps.size(); ++k) {
+          if (op.op == kShareOps[k].first) op_seconds[k] += op.seconds;
+        }
+      }
     });
+    for (size_t k = 0; k < kShareOps.size(); ++k) {
+      t.op_share[k] = op_seconds[k] / execute_seconds;
+    }
     // Estimated-vs-actual from the measured operator stats: the root's
     // estimate vs its real output, and the worst per-operator q-error.
     const engine::OperatorStats& root = vec->operators.back();
@@ -168,6 +192,7 @@ void Run() {
     Metric(name + ".speedup", t.ref_s / t.vec_s);
     Metric(name + ".root_est_card", t.est_card);
     Metric(name + ".max_q_error", t.max_q_error);
+    Metric(name + ".scan_share", t.op_share[0]);  // kShareOps[0] is scan
     timings.push_back(t);
   }
 
@@ -175,12 +200,16 @@ void Run() {
     std::printf("\ntimings (best of %d, %zu pool workers, lineitem %.1f MB)\n",
                 reps, common::ThreadPool::Global().worker_count(),
                 lineitem_bytes / 1048576.0);
-    std::printf("%-22s %12s %12s %9s %12s %12s %9s\n", "query", "ref_ms",
+    std::printf("%-22s %12s %12s %9s %12s %12s %9s", "query", "ref_ms",
                 "vec_ms", "speedup", "est_rows", "actual", "max_qerr");
+    for (const auto& [op, label] : kShareOps) std::printf(" %9.9s", label);
+    std::printf("\n");
     for (const Timing& t : timings) {
-      std::printf("%-22s %12.3f %12.3f %8.1fx %12.0f %12.0f %9.1f\n",
+      std::printf("%-22s %12.3f %12.3f %8.1fx %12.0f %12.0f %9.1f",
                   t.name.c_str(), t.ref_s * 1e3, t.vec_s * 1e3,
                   t.ref_s / t.vec_s, t.est_card, t.actual, t.max_q_error);
+      for (double share : t.op_share) std::printf(" %9.3f", share);
+      std::printf("\n");
     }
     // The headline claim: columnar + vectorized beats tuple-at-a-time on
     // the join+aggregate templates once the data outruns L2.
