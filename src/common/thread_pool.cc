@@ -52,7 +52,7 @@ void ThreadPool::Schedule(std::function<void()> task) {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.push_back({std::move(task), nullptr});
   }
   work_available_.notify_one();
 }
@@ -66,7 +66,7 @@ void ThreadPool::WorkerLoop() {
       work_available_.wait(
           lock, [this]() { return shutting_down_ || !queue_.empty(); });
       if (queue_.empty()) break;  // shutting down and drained
-      task = std::move(queue_.front());
+      task = std::move(queue_.front().run);
       queue_.pop_front();
     }
     task();  // accounts for itself; exceptions go to its future
@@ -101,37 +101,60 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
     }
     return;
   }
-  size_t num_chunks = (end - begin + grain - 1) / grain;
-  std::vector<std::exception_ptr> errors(num_chunks);
-  // Guarded by done_mu. Each chunk decrements it *under* the lock, so the
-  // caller cannot observe zero, return and destroy these stack locals
-  // while the last chunk still holds or notifies them.
-  size_t remaining = num_chunks;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
+  const size_t num_chunks = (end - begin + grain - 1) / grain;
+  // Completion state of this call, shared with its helper tasks. A helper
+  // that a worker starts after the call returned finds no chunk left and
+  // touches only this state — never `fn` or the caller's stack.
+  struct CallState {
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0;  // guarded by mu
+    std::vector<std::exception_ptr> errors;
+  };
+  auto state = std::make_shared<CallState>();
+  state->errors.resize(num_chunks);
+  // Claims and runs chunks until none is left. Each chunk counts itself
+  // (TaskScope) before it counts as done, so Stats() is exact on return.
+  auto run_chunks = [this, state, begin, end, grain, num_chunks, &fn]() {
+    for (size_t c = state->next++; c < num_chunks; c = state->next++) {
+      const size_t cb = begin + c * grain;
+      {
+        TaskScope scope(this);
+        try {
+          fn(cb, std::min(end, cb + grain));
+        } catch (...) {
+          state->errors[c] = std::current_exception();
+        }
+      }
+      std::lock_guard<std::mutex> lock(state->mu);
+      if (++state->done == num_chunks) state->cv.notify_all();
+    }
+  };
+  // Helpers let idle workers join in; the caller claims chunks as well,
+  // so it never sleeps while a chunk is still unclaimed.
+  const size_t helpers = std::min(num_chunks - 1, workers_.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      size_t cb = begin + c * grain;
-      size_t ce = std::min(end, cb + grain);
-      queue_.push_back([&, c, cb, ce]() {
-        {
-          TaskScope scope(this);  // before the caller can see it finish
-          try {
-            fn(cb, ce);
-          } catch (...) {
-            errors[c] = std::current_exception();
-          }
-        }
-        std::lock_guard<std::mutex> done_lock(done_mu);
-        if (--remaining == 0) done_cv.notify_all();
-      });
+    for (size_t h = 0; h < helpers; ++h) {
+      queue_.push_back({run_chunks, state.get()});
     }
   }
-  work_available_.notify_all();
-  std::unique_lock<std::mutex> done_lock(done_mu);
-  done_cv.wait(done_lock, [&]() { return remaining == 0; });
-  for (auto& e : errors) {
+  for (size_t h = 0; h < helpers; ++h) work_available_.notify_one();
+  run_chunks();
+  {
+    // Every chunk is claimed: helpers no worker has started yet would only
+    // find nothing to do, so they leave the queue with the call.
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
+                                [&](const QueuedTask& t) {
+                                  return t.owner == state.get();
+                                }),
+                 queue_.end());
+  }
+  std::unique_lock<std::mutex> done_lock(state->mu);
+  state->cv.wait(done_lock, [&]() { return state->done == num_chunks; });
+  for (auto& e : state->errors) {
     if (e) std::rethrow_exception(e);  // first failing chunk wins
   }
 }

@@ -78,8 +78,10 @@ class ThreadPool {
   /// end, grain) — never on the worker count — so chunk-local reductions
   /// merged in chunk order are bit-identical in serial and parallel runs.
   ///
-  /// Blocks until every chunk has finished. Nested calls from inside a
-  /// worker of this pool execute inline (same chunking) to avoid deadlock.
+  /// Blocks until every chunk has finished. The calling thread claims and
+  /// runs chunks alongside the workers, so a call never waits on a chunk
+  /// nobody has started. Nested calls from inside a worker of this pool
+  /// execute inline (same chunking) to avoid deadlock.
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t, size_t)>& fn);
 
@@ -123,9 +125,16 @@ class ThreadPool {
   void Schedule(std::function<void()> task);
   void WorkerLoop();
 
+  /// A queued task; `owner` tags a ParallelFor call's helpers so the call
+  /// can withdraw the ones no worker has started.
+  struct QueuedTask {
+    std::function<void()> run;
+    const void* owner = nullptr;
+  };
+
   mutable std::mutex mu_;
   std::condition_variable work_available_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<QueuedTask> queue_;
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
   std::atomic<size_t> active_{0};

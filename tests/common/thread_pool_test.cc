@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -88,6 +89,39 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
     }
   });
   EXPECT_EQ(total.load(), 8 * 16);
+}
+
+TEST(ThreadPoolTest, ParallelForCallerRunsChunksWhileWorkersAreBusy) {
+  // Both workers are held until the loop has finished, so no worker can
+  // take a chunk: the call completes only because the caller claims and
+  // runs every chunk itself, and it withdraws its unstarted helpers.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::atomic<int> held{0};
+  std::vector<std::future<void>> blockers;
+  for (int w = 0; w < 2; ++w) {
+    blockers.push_back(pool.Submit([&held, gate]() {
+      ++held;
+      gate.wait();
+    }));
+  }
+  while (held.load() < 2) std::this_thread::yield();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> out(64, -1);
+  std::atomic<int> chunks_on_caller{0};
+  pool.ParallelFor(0, out.size(), 8, [&](size_t cb, size_t ce) {
+    if (std::this_thread::get_id() == caller) ++chunks_on_caller;
+    for (size_t i = cb; i < ce; ++i) out[i] = static_cast<int>(i);
+  });
+  EXPECT_EQ(chunks_on_caller.load(), 8);
+  EXPECT_EQ(pool.Stats().queued, 0u);
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i], static_cast<int>(i));
+  }
+  release.set_value();
+  for (auto& f : blockers) f.get();
 }
 
 TEST(ThreadPoolTest, ShutdownDrainsPendingWork) {
