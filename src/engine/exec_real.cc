@@ -311,22 +311,17 @@ common::Result<RealExecutor::Relation> RealExecutor::ExecScan(
 common::Result<RealExecutor::Relation> RealExecutor::ExecFilter(
     const PlanNode& node, Relation input, const Demand& demand) const {
   if (node.predicates.empty()) return input;
-  const size_t rows = input.rows;
-  const size_t words = BitmapWords(rows);
-  common::AlignedBuffer<uint64_t> acc(words);
-  common::AlignedBuffer<uint64_t> scratch(words);
-  for (size_t p = 0; p < node.predicates.size(); ++p) {
-    const Predicate& pred = node.predicates[p];
+  std::vector<ColumnPredicate> preds;
+  preds.reserve(node.predicates.size());
+  for (const Predicate& pred : node.predicates) {
     const Column* col = input.Find(pred.column);
     if (col == nullptr) return MissingColumn(pred.column, "filter input");
-    uint64_t* target = p == 0 ? acc.data() : scratch.data();
-    PredicateBitmap(*col, pred.op, pred.value, pool(), target);
-    if (p > 0) BitmapAndInPlace(acc.data(), scratch.data(), words);
+    preds.push_back({col, pred.op, pred.value});
   }
   common::AlignedBuffer<uint32_t> sel;
   Relation out;
   out.name = input.name;
-  out.rows = BitmapToSelection(acc.data(), rows, &sel);
+  out.rows = SelectRows(preds, input.rows, pool(), &sel);
   out.GatherFrom(input, demand, sel.data(), pool());
   return out;
 }

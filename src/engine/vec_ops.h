@@ -11,51 +11,51 @@
 
 namespace ads::engine {
 
-/// Vectorized operator kernels: predicate bitmaps, selection vectors,
-/// gathers, a seeded hash-join table and a grouped-aggregation index.
-/// All kernels are deterministic and thread-count invariant: parallel
-/// sections use fixed grains on ThreadPool::ParallelFor (whose chunk
-/// boundaries never depend on the worker count), and every floating-point
-/// reduction happens sequentially in input row order. The differential
-/// harness exploits this: vectorized output must equal the row-at-a-time
-/// reference executor bit for bit.
+/// Vectorized operator kernels: selection vectors, gathers, a seeded
+/// hash-join table and a grouped-aggregation index. All kernels are
+/// deterministic and thread-count invariant: parallel sections use fixed
+/// grains on ThreadPool::ParallelFor (whose chunk boundaries never depend
+/// on the worker count), and every floating-point reduction happens
+/// sequentially in input row order. The differential harness exploits
+/// this: vectorized output must equal the row-at-a-time reference
+/// executor bit for bit.
 
-/// Fixed chunk grains (rows). kBitmapGrain is a multiple of 64 so no two
-/// chunks ever touch the same bitmap word.
-inline constexpr size_t kBitmapGrain = 4096;
+/// Fixed chunk grains (rows). kSelectGrain is a multiple of 64 so no two
+/// chunks ever touch the same word of the filter's result bitmap.
+inline constexpr size_t kSelectGrain = 8192;
 inline constexpr size_t kGatherGrain = 8192;
-inline constexpr size_t kProbeGrain = 2048;
+inline constexpr size_t kProbeGrain = 4096;
 
-/// Seeded FNV-1a over the key's 8 bytes, finished with a murmur3-style
-/// mixer for avalanche on the low bits (bucket indices are low-bit masks).
+/// Seeded murmur3 fmix64 finalizer: two multiplies, full avalanche on the
+/// low bits (bucket indices are low-bit masks). The hash only places
+/// entries in the join and group tables, so it never affects any output.
 inline uint64_t HashJoinKey(int64_t key, uint64_t seed) {
-  uint64_t h = seed ^ 14695981039346656037ull;
-  uint64_t k = static_cast<uint64_t>(key);
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (k >> (byte * 8)) & 0xffull;
-    h *= 1099511628211ull;
-  }
+  uint64_t h = static_cast<uint64_t>(key) ^ seed;
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
   h ^= h >> 33;
   return h;
 }
 
-/// Number of 64-bit words a bitmap over `rows` rows needs.
-inline size_t BitmapWords(size_t rows) { return (rows + 63) / 64; }
+/// One resolved filter conjunct, true for row r when
+/// `static_cast<double>(column[r]) <op> value`.
+struct ColumnPredicate {
+  const Column* column = nullptr;
+  CompareOp op = CompareOp::kEqual;
+  double value = 0.0;
+};
 
-/// Fills `bits` (BitmapWords(col.size()) words) with one bit per row:
-/// 1 where `col <op> value` holds. Parallel over word-aligned chunks.
-void PredicateBitmap(const Column& col, CompareOp op, double value,
-                     common::ThreadPool& pool, uint64_t* bits);
-
-/// acc &= other over `words` words.
-void BitmapAndInPlace(uint64_t* acc, const uint64_t* other, size_t words);
-
-/// Expands a bitmap into a selection vector of row indices (ascending).
-/// Returns the number of selected rows.
-size_t BitmapToSelection(const uint64_t* bits, size_t rows,
-                         common::AlignedBuffer<uint32_t>* sel);
+/// Fills `sel` with the ascending indices of the rows in [0, rows) that
+/// satisfy every predicate (all columns have `rows` rows) and returns
+/// their count. Per fixed-grain chunk, the first predicate scans every
+/// row and each later one tests only the rows still selected; chunk
+/// counts then prefix into disjoint output ranges. No predicates select
+/// every row.
+size_t SelectRows(const std::vector<ColumnPredicate>& preds, size_t rows,
+                  common::ThreadPool& pool,
+                  common::AlignedBuffer<uint32_t>* sel);
 
 /// out[i] = src[sel[i]] for i in [0, n). `out` keeps src's name and type.
 void GatherColumn(const Column& src, const uint32_t* sel, size_t n,
@@ -65,6 +65,9 @@ void GatherColumn(const Column& src, const uint32_t* sel, size_t n,
 /// probe row come out in ascending build-row order (the chains are built
 /// back to front), which pins the operator's output order to the
 /// nested-loop order the reference executor produces.
+///
+/// The table borrows the build key column: it must outlive the table and
+/// stay unmodified while the table is probed.
 class JoinHashTable {
  public:
   /// Builds over the build side's key column (i64). `seed` selects the
@@ -72,12 +75,15 @@ class JoinHashTable {
   /// per plan execution, so rebuilding the same plan is bit-identical.
   void Build(const Column& keys, uint64_t seed);
 
-  size_t build_rows() const { return keys_.size(); }
+  size_t build_rows() const { return build_rows_; }
+  size_t bucket_count() const { return mask_ + 1; }
 
   /// Probes with `probe_keys` in row order and appends every match as a
   /// (probe_row, build_row) pair, probe-major, build ascending within a
-  /// probe row. Deterministic two-pass parallel: per-chunk match counts,
-  /// exclusive prefix, then disjoint writes.
+  /// probe row. Deterministic two-pass parallel: pass 1 hashes each probe
+  /// key once, counts matches per chunk and records each row's first
+  /// match; an exclusive prefix gives each chunk a disjoint output range;
+  /// pass 2 resumes every chain at its recorded first match.
   void Probe(const Column& probe_keys, common::ThreadPool& pool,
              common::AlignedBuffer<uint32_t>* probe_idx,
              common::AlignedBuffer<uint32_t>* build_idx) const;
@@ -85,7 +91,8 @@ class JoinHashTable {
  private:
   uint64_t seed_ = 0;
   size_t mask_ = 0;
-  common::AlignedBuffer<int64_t> keys_;
+  size_t build_rows_ = 0;
+  const int64_t* keys_ = nullptr;  // borrowed build key column
   common::AlignedBuffer<int32_t> heads_;  // bucket -> first build row or -1
   common::AlignedBuffer<int32_t> next_;   // build row -> next in chain or -1
 };
@@ -93,7 +100,9 @@ class JoinHashTable {
 /// Grouped-aggregation index over i64 group-key columns: assigns each row
 /// a dense group id in first-seen order. Sequential by design — group
 /// discovery order is part of the operator's defined semantics (output
-/// groups appear in first-seen input order).
+/// groups appear in first-seen input order). The open-addressing table
+/// starts small and doubles at half load, so its size follows the number
+/// of groups rather than the number of rows.
 class GroupIndex {
  public:
   /// `keys` may be empty: every row lands in group 0 (global aggregate).
