@@ -192,7 +192,9 @@ void Run() {
     Metric(name + ".speedup", t.ref_s / t.vec_s);
     Metric(name + ".root_est_card", t.est_card);
     Metric(name + ".max_q_error", t.max_q_error);
-    Metric(name + ".scan_share", t.op_share[0]);  // kShareOps[0] is scan
+    for (size_t k = 0; k < kShareOps.size(); ++k) {
+      Metric(name + "." + kShareOps[k].second + "_share", t.op_share[k]);
+    }
     timings.push_back(t);
   }
 
