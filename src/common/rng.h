@@ -35,14 +35,21 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
-  /// Normal draw.
+  /// Normal draw. stddev == 0 returns `mean` exactly and still consumes
+  /// the engine draws of a Normal(0, 1), so a zero-noise setting does not
+  /// shift later draws. Bit-identical to std::normal_distribution(mean,
+  /// stddev) for stddev > 0 (libstdc++ scales a standard draw the same way;
+  /// the build disables FP contraction), which requires stddev > 0.
   double Normal(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    ADS_CHECK(stddev >= 0.0) << "Normal stddev must be >= 0: " << stddev;
+    return StandardNormal() * stddev + mean;
   }
 
-  /// Log-normal draw (parameters are of the underlying normal).
+  /// Log-normal draw (parameters are of the underlying normal); the same
+  /// sigma == 0 contract as Normal.
   double LogNormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
+    ADS_CHECK(sigma >= 0.0) << "LogNormal sigma must be >= 0: " << sigma;
+    return std::exp(sigma * StandardNormal() + mu);
   }
 
   /// Exponential draw with the given rate (events per unit time).
@@ -86,6 +93,10 @@ class Rng {
   std::mt19937_64& engine() { return engine_; }
 
  private:
+  double StandardNormal() {
+    return std::normal_distribution<double>(0.0, 1.0)(engine_);
+  }
+
   std::mt19937_64 engine_;
 };
 

@@ -27,12 +27,10 @@ struct HedgeOptions {
 /// request should be launched. The delay tracks the live latency
 /// distribution — "hedge once the request has outlived the p95" — so the
 /// duplicate-work budget stays pinned to roughly (1 - quantile) of
-/// traffic no matter how the service time drifts. The fleet runtimes own
-/// *where* the duplicate goes (the next replica in the shard's group) and
-/// the winner/loser bookkeeping.
-///
-/// Not internally synchronized beyond QuantileSketch's reader lock; the
-/// threaded fleet serializes Observe under its own mutex.
+/// traffic no matter how the service time drifts. FleetCore owns *where*
+/// the duplicate goes (the next replica in the shard's group) and the
+/// winner/loser bookkeeping; FleetRuntime serializes Observe under its
+/// mutex.
 class HedgePolicy {
  public:
   explicit HedgePolicy(HedgeOptions options = HedgeOptions());

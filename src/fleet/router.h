@@ -12,15 +12,10 @@
 
 namespace ads::fleet {
 
-/// Cross-shard load snapshot one shard publishes into the router: the
-/// signals the reroute/shed decisions read. Queue depth and inflight are
-/// instantaneous; shed_rate and p99 are whatever window the publisher
-/// maintains.
+/// Load snapshot one shard publishes into the router: the one signal the
+/// load-aware divert reads, the shard's instantaneous queued requests.
 struct ShardLoad {
   size_t queue_depth = 0;
-  size_t inflight = 0;
-  double shed_rate = 0.0;
-  double p99_seconds = 0.0;
 };
 
 struct RouterOptions {
@@ -51,10 +46,9 @@ struct RouteDecision {
 
 /// Placement front door of the fleet: consistent-hash home placement,
 /// drain-aware and load-aware diverts, and deterministic replica spread
-/// within the chosen shard. Both runtimes (VirtualFleet from its event
-/// loop, FleetRuntime from concurrent Submit callers) route through this
-/// one object; it is thread-safe and, given the same ring seed, drain
-/// flags, and published loads, bit-deterministic.
+/// within the chosen shard. FleetCore owns it; it is thread-safe (drains
+/// and load updates may come from other threads than routing) and, given
+/// the same ring seed, drain flags, and published loads, bit-deterministic.
 class FleetRouter {
  public:
   FleetRouter(size_t shards, size_t replicas_per_shard,

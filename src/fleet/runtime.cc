@@ -1,7 +1,7 @@
 #include "fleet/runtime.h"
 
-#include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "common/logging.h"
 #include "telemetry/gauges.h"
@@ -18,9 +18,9 @@ FleetRuntime::FleetRuntime(FleetRuntimeOptions options,
                            common::ThreadPool* pool)
     : options_(options),
       pool_(pool),
-      router_(options.shards, options.replicas_per_shard, options.router),
-      hedge_(options.hedge),
-      counters_(options.shards) {
+      epoch_(std::chrono::steady_clock::now()),
+      core_(options.shards, options.replicas_per_shard, options.router,
+            options.hedge) {
   ADS_CHECK(pool_ != nullptr) << "fleet needs a thread pool";
   runtimes_.reserve(options_.shards * options_.replicas_per_shard);
   for (size_t i = 0; i < options_.shards * options_.replicas_per_shard; ++i) {
@@ -49,7 +49,7 @@ void FleetRuntime::RegisterBackend(const std::string& model,
 
 void FleetRuntime::SetVersionRouter(const autonomy::VersionRouter* router) {
   ADS_CHECK(!started_) << "SetVersionRouter after Start()";
-  version_router_ = router;
+  core_.SetVersionRouter(router);
 }
 
 void FleetRuntime::SetTracer(telemetry::Tracer* tracer) {
@@ -61,8 +61,9 @@ void FleetRuntime::Start() {
   ADS_CHECK(!started_) << "Start() is one-shot";
   ADS_CHECK(!backends_.empty()) << "no backends registered";
   started_ = true;
+  epoch_ = std::chrono::steady_clock::now();
   for (auto& runtime : runtimes_) runtime->Start();
-  if (hedge_.enabled() && options_.replicas_per_shard >= 2) {
+  if (core_.hedging()) {
     hedger_ = std::thread([this]() { HedgerLoop(); });
   }
 }
@@ -76,214 +77,112 @@ common::Status FleetRuntime::Submit(serve::Request request,
       << "unregistered model: " << request.model;
   // Pin the version here, before placement, so the primary and a later
   // hedge duplicate are guaranteed to serve the same model version.
-  if (request.pinned_version == 0 && version_router_ != nullptr) {
-    request.pinned_version =
-        version_router_->Route(request.model, request.tenant);
-  }
-  if (request.pinned_version == 0) {
-    request.pinned_version = backend_it->second->CurrentDeployedVersion();
-  }
-  const RouteDecision decision = router_.Route(request.tenant, id);
+  core_.Pin(&request, *backend_it->second);
 
+  RouteDecision decision;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutting_down_) {
       return common::Status::FailedPrecondition(
           "fleet runtime is shutting down");
     }
-    counters_[decision.shard].submitted += 1;
-    if (decision.reason == RouteReason::kDrainDivert) {
-      counters_[decision.home_shard].drain_diverts += 1;
-    } else if (decision.reason == RouteReason::kLoadDivert) {
-      counters_[decision.home_shard].load_diverts += 1;
-    }
-    ADS_CHECK(flights_.emplace(id, Flight()).second)
-        << "duplicate request id " << id;
-    Flight& flight = flights_[id];
-    flight.prototype = request;
-    flight.user = std::move(callback);
-    flight.owner = decision.shard;
-    flight.primary_replica = decision.replica;
+    decision = core_.Route(request.tenant, id);
+    core_.Open(id, decision, Now(), request).user = std::move(callback);
   }
 
   // The inner Submit may invoke OnCopyResponse inline (rejections), which
   // takes mu_ — so mu_ must not be held here.
-  common::Status status = replica(decision.shard, decision.replica)
-                              .Submit(std::move(request),
-                                      [this, id](const serve::Response& r) {
-                                        OnCopyResponse(id, false, r);
-                                      });
+  common::Status status =
+      replica(decision.shard, decision.replica)
+          .Submit(std::move(request), [this, id](const serve::Response& r) {
+            OnCopyResponse(id, FleetCore::Copy::kPrimary, r);
+          });
 
-  Callback failed_user;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (status.ok()) {
-      counters_[decision.shard].accepted += 1;
-      auto it = flights_.find(id);
-      // The flight can already be gone if the request raced to a served
-      // response before Submit returned; nothing left to hedge then.
-      if (it != flights_.end() && !it->second.primary_done &&
-          hedge_.enabled() && options_.replicas_per_shard >= 2) {
-        hedge_deadlines_.push(
-            {std::chrono::steady_clock::now() +
-                 std::chrono::duration_cast<
-                     std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(hedge_.Delay())),
-             id});
-        hedger_wake_.notify_one();
-      }
-    } else if (status.code() == common::StatusCode::kFailedPrecondition) {
-      // The replica refused without invoking the callback (shutdown
-      // race); resolve the flight ourselves.
-      counters_[decision.shard].rejected_capacity += 1;
-      auto it = flights_.find(id);
-      ADS_CHECK(it != flights_.end());
-      failed_user = std::move(it->second.user);
-      flights_.erase(it);
-    }
-    // Other rejection statuses already resolved the flight through the
-    // inline callback.
+  // A replica shutting down refuses without invoking the callback: the
+  // copy fails as a capacity rejection. Other rejection statuses already
+  // resolved the flight through the inline callback.
+  if (status.code() == common::StatusCode::kFailedPrecondition) {
+    OnCopyResponse(id, FleetCore::Copy::kPrimary,
+                   FailureResponse(id, serve::Outcome::kRejectedCapacity));
   }
-  if (failed_user != nullptr) {
-    serve::Response response;
-    response.id = id;
-    response.outcome = serve::Outcome::kRejectedCapacity;
-    failed_user(response);
+  if (!status.ok()) return status;
+  std::lock_guard<std::mutex> lock(mu_);
+  core_.Accept(decision.shard);
+  auto it = core_.Find(id);
+  // The flight can already be gone if the request raced to a served
+  // response before Submit returned; nothing left to hedge then.
+  if (it != core_.end() && !it->second.primary_done && core_.hedging()) {
+    hedge_deadlines_.push(
+        {std::chrono::steady_clock::now() +
+             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                 std::chrono::duration<double>(core_.HedgeDelay())),
+         id});
+    hedger_wake_.notify_one();
   }
   return status;
 }
 
-void FleetRuntime::OnCopyResponse(uint64_t id, bool is_hedge,
+double FleetRuntime::Now() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch_)
+      .count();
+}
+
+void FleetRuntime::OnCopyResponse(uint64_t id, FleetCore::Copy copy,
                                   const serve::Response& response) {
   Callback user;
   serve::Response out;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = flights_.find(id);
-    if (it == flights_.end()) return;  // resolved and finalized already
-    Flight& flight = it->second;
-    if (is_hedge) {
-      flight.hedge_done = true;
-    } else {
-      flight.primary_done = true;
+    auto it = core_.Find(id);
+    if (it == core_.end()) return;  // resolved and finalized already
+    FleetCore::Flight& flight = it->second;
+    if (response.outcome != serve::Outcome::kServed) {
+      core_.CopyFailed(flight, copy, response.outcome);
+    } else if (const std::optional<double> latency =
+                   core_.CopyServed(flight, copy, Now())) {
+      // First served copy wins. Its latency is the logical one: a hedge
+      // copy's replica-local latency would leave out the hedge delay.
+      out = response;
+      out.latency_seconds = *latency;
+      user = std::move(flight.user);
     }
-    if (!flight.resolved) {
-      const bool served = response.outcome == serve::Outcome::kServed;
-      bool resolve_now = false;
-      if (served) {
-        // First served copy wins, whichever it is.
-        resolve_now = true;
-        out = response;
-        counters_[flight.owner].served += 1;
-        hedge_.Observe(response.latency_seconds);
-        if (flight.hedge_fired) {
-          if (is_hedge) {
-            counters_[flight.hedge_home].hedge_wins += 1;
-          } else {
-            counters_[flight.hedge_home].primary_wins += 1;
-          }
-        }
-      } else if (!is_hedge) {
-        // Primary failed. If a hedge is still out there, hold the failure:
-        // the duplicate may yet serve.
-        if (flight.hedge_fired && !flight.hedge_done) {
-          flight.have_failure = true;
-          flight.failure = response;
-        } else {
-          resolve_now = true;
-          out = response;
-        }
-      } else if (flight.primary_done) {
-        // Hedge failed after the primary already had: the logical outcome
-        // is the primary's failure.
-        ADS_CHECK(flight.have_failure)
-            << "both copies failed with no stored outcome for " << id;
-        resolve_now = true;
-        out = flight.failure;
-      }
-      // else: the hedge copy failed while the primary is still live —
-      // nothing resolves; the hedge loser just bows out early.
-      if (resolve_now) {
-        flight.resolved = true;
-        if (!served) {
-          switch (out.outcome) {
-            case serve::Outcome::kRejectedRateLimit:
-              counters_[flight.owner].rejected_rate_limit += 1;
-              break;
-            case serve::Outcome::kRejectedCapacity:
-              counters_[flight.owner].rejected_capacity += 1;
-              break;
-            case serve::Outcome::kRejectedDeadline:
-              counters_[flight.owner].rejected_deadline += 1;
-              break;
-            case serve::Outcome::kShedCapacity:
-              counters_[flight.owner].shed_capacity += 1;
-              break;
-            case serve::Outcome::kShedDeadline:
-              counters_[flight.owner].shed_deadline += 1;
-              break;
-            default:
-              ADS_CHECK(false) << "unexpected terminal outcome";
-          }
-          // Resolving with a failure after a hedge fired means both
-          // copies lost: the race had no winner.
-          if (flight.hedge_fired) {
-            counters_[flight.hedge_home].hedges_failed += 1;
-          }
-        }
+    if (core_.Finalize(flight)) {
+      if (!flight.resolved) {
+        // Every copy failed: the logical outcome is the primary's failure.
+        out = FailureResponse(id, flight.failure);
         user = std::move(flight.user);
       }
+      core_.Erase(it);
     }
-    FinalizeLocked(it);
   }
   if (user != nullptr) user(out);
 }
 
-void FleetRuntime::FinalizeLocked(std::map<uint64_t, Flight>::iterator it) {
-  Flight& flight = it->second;
-  if (!flight.primary_done || (flight.hedge_fired && !flight.hedge_done)) {
-    return;
-  }
-  ADS_CHECK(flight.resolved)
-      << "finalizing request " << it->first << " with no resolution";
-  if (flight.hedge_fired) {
-    counters_[flight.hedge_home].hedges_cancelled += 1;
-  }
-  flights_.erase(it);
-}
-
 void FleetRuntime::FireHedge(uint64_t id,
                              std::unique_lock<std::mutex>& lock) {
-  auto it = flights_.find(id);
-  if (it == flights_.end()) return;
-  Flight& flight = it->second;
-  if (flight.resolved || flight.primary_done || flight.hedge_fired) return;
-  if (router_.draining(flight.owner)) return;  // don't hedge into a drain
-  flight.hedge_fired = true;
-  flight.hedge_home = flight.owner;
-  const ShardId shard = flight.owner;
-  const size_t hedge_replica =
-      (flight.primary_replica + 1) % options_.replicas_per_shard;
-  counters_[flight.hedge_home].hedges_fired += 1;
+  auto it = core_.Find(id);
+  if (it == core_.end()) return;
+  FleetCore::Flight& flight = it->second;
+  if (!core_.FireHedge(flight)) return;
+  const ShardId shard = flight.hedge_shard;
+  const size_t hedge_replica = flight.hedge_replica;
   serve::Request copy = flight.prototype;
 
   lock.unlock();
   common::Status status =
       replica(shard, hedge_replica)
           .Submit(std::move(copy), [this, id](const serve::Response& r) {
-            OnCopyResponse(id, true, r);
+            OnCopyResponse(id, FleetCore::Copy::kHedge, r);
           });
-  lock.lock();
+  // A refused hedge is an instant loser and the flight continues on its
+  // primary alone; plain rejections already resolved through the inline
+  // hedge callback.
   if (status.code() == common::StatusCode::kFailedPrecondition) {
-    // The replica refused without a callback; the hedge is an instant
-    // loser and the flight continues on its primary alone.
-    auto again = flights_.find(id);
-    if (again != flights_.end()) {
-      again->second.hedge_done = true;
-      FinalizeLocked(again);
-    }
+    OnCopyResponse(id, FleetCore::Copy::kHedge,
+                   FailureResponse(id, serve::Outcome::kRejectedCapacity));
   }
-  // Plain rejections already resolved through the inline hedge callback.
+  lock.lock();
 }
 
 void FleetRuntime::HedgerLoop() {
@@ -304,10 +203,6 @@ void FleetRuntime::HedgerLoop() {
   }
 }
 
-void FleetRuntime::DrainShard(ShardId shard) { router_.DrainShard(shard); }
-
-void FleetRuntime::RejoinShard(ShardId shard) { router_.RejoinShard(shard); }
-
 void FleetRuntime::WaitShardQuiesced(ShardId shard) const {
   ADS_CHECK(shard < options_.shards) << "unknown shard " << shard;
   for (;;) {
@@ -317,10 +212,7 @@ void FleetRuntime::WaitShardQuiesced(ShardId shard) const {
     }
     if (quiet) {
       std::lock_guard<std::mutex> lock(mu_);
-      quiet = std::none_of(flights_.begin(), flights_.end(),
-                           [shard](const auto& entry) {
-                             return entry.second.owner == shard;
-                           });
+      quiet = !core_.Owns(shard);
     }
     if (quiet) return;
     std::this_thread::sleep_for(kQuiescePollInterval);
@@ -337,37 +229,17 @@ void FleetRuntime::Shutdown() {
   if (hedger_.joinable()) hedger_.join();
   for (auto& runtime : runtimes_) runtime->Shutdown();
   std::lock_guard<std::mutex> lock(mu_);
-  ADS_CHECK(flights_.empty())
-      << "fleet shutdown left " << flights_.size() << " flights unresolved";
-  if (started_) CheckInvariantsLocked();
-}
-
-void FleetRuntime::CheckInvariantsLocked() const {
-  for (ShardId shard = 0; shard < options_.shards; ++shard) {
-    const ShardCounters& c = counters_[shard];
-    ADS_CHECK(c.submitted == c.accepted + c.Rejected())
-        << "shard " << shard << ": admission not total";
-    ADS_CHECK(c.accepted + c.rerouted_in == c.Finished() + c.rerouted_out)
-        << "shard " << shard << ": ownership ledger out of balance";
-    ADS_CHECK(c.hedges_fired ==
-              c.hedge_wins + c.primary_wins + c.hedges_failed)
-        << "shard " << shard << ": a fired hedge has no outcome";
-    ADS_CHECK(c.hedges_fired == c.hedges_cancelled)
-        << "shard " << shard << ": a fired hedge has no cancelled loser";
-  }
-  const ShardCounters fleet = Aggregate(counters_);
-  ADS_CHECK(fleet.accepted == fleet.served + fleet.Shed())
-      << "fleet ledger out of balance";
+  core_.CheckInvariants();
 }
 
 std::vector<ShardCounters> FleetRuntime::CountersSnapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  return core_.counters();
 }
 
 ShardCounters FleetRuntime::FleetCounters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Aggregate(counters_);
+  return Aggregate(core_.counters());
 }
 
 serve::ServingStats FleetRuntime::ReplicaStats(ShardId shard,
@@ -379,13 +251,14 @@ serve::ServingStats FleetRuntime::ReplicaStats(ShardId shard,
 
 double FleetRuntime::HedgeDelay() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return hedge_.Delay();
+  return core_.HedgeDelay();
 }
 
 void FleetRuntime::SampleGauges(telemetry::TelemetryStore* store) {
   if (store == nullptr) return;
-  const double now = runtimes_.empty() ? 0.0 : runtimes_[0]->Now();
+  const double now = Now();
   std::vector<ShardCounters> counters = CountersSnapshot();
+  FleetRouter& router = core_.router();
   for (ShardId shard = 0; shard < options_.shards; ++shard) {
     ShardLoad load;
     for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
@@ -394,15 +267,10 @@ void FleetRuntime::SampleGauges(telemetry::TelemetryStore* store) {
           {{"shard", std::to_string(shard)},
            {"replica", std::to_string(r)}});
       replica(shard, r).SampleGauges(scope);
-      serve::ServingStats stats = replica(shard, r).Stats();
-      load.queue_depth += stats.queued;
-      load.p99_seconds = std::max(load.p99_seconds, stats.latency.p99);
+      load.queue_depth += replica(shard, r).Stats().queued;
     }
+    router.UpdateLoad(shard, load);
     const ShardCounters& c = counters[shard];
-    load.shed_rate = c.accepted > 0 ? static_cast<double>(c.Shed()) /
-                                          static_cast<double>(c.accepted)
-                                    : 0.0;
-    router_.UpdateLoad(shard, load);
     telemetry::ScopedGauges fleet_scope(
         store, "fleet.", {{"shard", std::to_string(shard)}});
     fleet_scope.Record("served_total", now, static_cast<double>(c.served));
@@ -410,8 +278,7 @@ void FleetRuntime::SampleGauges(telemetry::TelemetryStore* store) {
                        static_cast<double>(c.hedges_fired));
     fleet_scope.Record("hedge_wins_total", now,
                        static_cast<double>(c.hedge_wins));
-    fleet_scope.Record("draining", now,
-                       router_.draining(shard) ? 1.0 : 0.0);
+    fleet_scope.Record("draining", now, router.draining(shard) ? 1.0 : 0.0);
   }
 }
 

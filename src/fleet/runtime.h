@@ -17,9 +17,7 @@
 #include "autonomy/serving.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "fleet/hedge.h"
-#include "fleet/router.h"
-#include "fleet/types.h"
+#include "fleet/core.h"
 #include "serve/runtime.h"
 #include "serve/types.h"
 #include "telemetry/span.h"
@@ -36,12 +34,11 @@ struct FleetRuntimeOptions {
   RouterOptions router;
 };
 
-/// Threaded sharded serving tier: shards x replicas ServingRuntimes behind
-/// one FleetRouter, with tail-latency hedging driven by a dedicated hedger
-/// thread. The wall-clock counterpart of VirtualFleet — same routing, same
-/// first-completion-wins hedge state machine, same logical-request ledger
-/// (ShardCounters) — minus virtual time's reproducibility: use VirtualFleet
-/// for byte-stable experiments and this for running under real load.
+/// Threaded runtime over FleetCore (routing, version pin, hedge/ownership
+/// state machine, ShardCounters ledger — the core VirtualFleet drives in
+/// virtual time). It owns the mutex serializing the core, the hedger
+/// thread, one ServingRuntime per replica and one fleet clock. Use
+/// VirtualFleet for byte-stable experiments and this under real load.
 ///
 /// Drain model: DrainShard diverts new arrivals via the ring; work already
 /// queued on the shard completes in place (a real runtime cannot un-send
@@ -51,9 +48,8 @@ struct FleetRuntimeOptions {
 /// virtual time, where it is observable deterministically.
 ///
 /// Every logical request gets exactly one user callback, even when hedged:
-/// copy responses funnel through a per-flight state machine that picks the
-/// first served copy (or the primary's failure once every copy has failed)
-/// and discards the loser.
+/// the first served copy (with the logical latency, from fleet admission)
+/// or, once every copy failed, the primary's failure.
 class FleetRuntime {
  public:
   using Callback = serve::ServingRuntime::Callback;
@@ -74,9 +70,8 @@ class FleetRuntime {
   void RegisterBackend(const std::string& model,
                        autonomy::ResilientModelServer* backend);
 
-  /// Version router consulted once per logical request at Submit; the pin
-  /// is stamped before placement so the primary and any hedge duplicate
-  /// serve the same version even if a promote lands between them.
+  /// Version router for FleetCore::Pin, consulted once per request at
+  /// Submit, before placement.
   void SetVersionRouter(const autonomy::VersionRouter* router);
   /// Forwards a thread-safe tracer to every replica runtime.
   void SetTracer(telemetry::Tracer* tracer);
@@ -91,8 +86,8 @@ class FleetRuntime {
 
   /// Diverts new arrivals away from `shard` (ring fallback order). Queued
   /// and in-flight work completes in place.
-  void DrainShard(ShardId shard);
-  void RejoinShard(ShardId shard);
+  void DrainShard(ShardId shard) { core_.router().DrainShard(shard); }
+  void RejoinShard(ShardId shard) { core_.router().RejoinShard(shard); }
   /// Blocks until the shard has no queued work and no unresolved flight
   /// whose primary copy lives there. Call after DrainShard to know the
   /// shard is safe to restart.
@@ -105,7 +100,7 @@ class FleetRuntime {
   std::vector<ShardCounters> CountersSnapshot() const;
   ShardCounters FleetCounters() const;
   serve::ServingStats ReplicaStats(ShardId shard, size_t r) const;
-  const FleetRouter& router() const { return router_; }
+  const FleetRouter& router() const { return core_.router(); }
   /// Current quantile-derived hedge delay (seconds).
   double HedgeDelay() const;
 
@@ -115,20 +110,6 @@ class FleetRuntime {
   void SampleGauges(telemetry::TelemetryStore* store);
 
  private:
-  /// Exactly-one-callback state machine for one logical request.
-  struct Flight {
-    serve::Request prototype;  // version-pinned copy for the hedge
-    Callback user;
-    ShardId owner = 0;
-    size_t primary_replica = 0;
-    ShardId hedge_home = 0;
-    bool resolved = false;
-    bool primary_done = false;
-    bool hedge_fired = false;
-    bool hedge_done = false;
-    bool have_failure = false;
-    serve::Response failure;  // primary's failure, held while hedge runs
-  };
   struct HedgeDeadline {
     std::chrono::steady_clock::time_point due;
     uint64_t id;
@@ -137,40 +118,34 @@ class FleetRuntime {
     }
   };
 
-  serve::ServingRuntime& replica(ShardId shard, size_t r) {
+  serve::ServingRuntime& replica(ShardId shard, size_t r) const {
     return *runtimes_[shard * options_.replicas_per_shard + r];
   }
-  const serve::ServingRuntime& replica(ShardId shard, size_t r) const {
-    return *runtimes_[shard * options_.replicas_per_shard + r];
-  }
-  /// Funnel for every copy response; resolves / finalizes the flight.
-  void OnCopyResponse(uint64_t id, bool is_hedge,
+  /// Seconds since Start() on the fleet clock.
+  double Now() const;
+  /// Funnel for every copy response; resolves / finalizes the flight and
+  /// invokes the user callback outside mu_.
+  void OnCopyResponse(uint64_t id, FleetCore::Copy copy,
                       const serve::Response& response);
   void HedgerLoop();
   /// Fires one due hedge (called from the hedger with mu_ held; drops the
   /// lock around the inner Submit).
   void FireHedge(uint64_t id, std::unique_lock<std::mutex>& lock);
-  /// Requires mu_. Returns the callback to invoke (resolution) or null.
-  void FinalizeLocked(std::map<uint64_t, Flight>::iterator it);
-  void CheckInvariantsLocked() const;
 
   FleetRuntimeOptions options_;
   common::ThreadPool* pool_;
-  FleetRouter router_;
   std::vector<std::unique_ptr<serve::ServingRuntime>> runtimes_;
   std::map<std::string, autonomy::ResilientModelServer*> backends_;
   /// Fleet-wide per-model backend serialization (see RegisterBackend).
   std::map<std::string, std::unique_ptr<std::mutex>> backend_serialization_;
-  const autonomy::VersionRouter* version_router_ = nullptr;
+  std::chrono::steady_clock::time_point epoch_;
 
   mutable std::mutex mu_;
   std::condition_variable hedger_wake_;
-  HedgePolicy hedge_;
-  std::map<uint64_t, Flight> flights_;
+  FleetCore core_;
   std::priority_queue<HedgeDeadline, std::vector<HedgeDeadline>,
                       std::greater<HedgeDeadline>>
       hedge_deadlines_;
-  std::vector<ShardCounters> counters_;
   bool started_ = false;
   bool shutting_down_ = false;
   std::thread hedger_;

@@ -10,29 +10,26 @@ namespace ads::fleet {
 /// Index of one shard within the fleet (0-based, dense).
 using ShardId = size_t;
 
-/// Fleet-level accounting for one shard, maintained by the fleet runtimes
-/// (the per-replica serve::Counters underneath keep counting every copy
-/// that passes through a core — including hedge duplicates and rerouted
-/// re-injections — so they are load views, not the ledger).
+/// Fleet-level accounting for one shard, kept by FleetCore (the
+/// per-replica serve::Counters underneath count every copy through a core,
+/// hedge duplicates and re-injections included: load views, not the
+/// ledger).
 ///
 /// Accounting is by *logical request* and follows ownership: a request is
 /// owned by the shard its primary copy sits on; a mid-drain reroute
 /// transfers ownership (rerouted_out on the source, rerouted_in on the
-/// target) and the terminal outcome is counted against the owner at
-/// emission time. Hedge duplicates never touch the served/shed ledger —
-/// they only move the hedge counters. The invariants the fleet tests
-/// enforce, per shard after a full drain:
+/// target) and the terminal outcome is counted against the owner. Hedge
+/// duplicates never touch the served/shed ledger, only the hedge counters.
+/// FleetCore::CheckInvariants enforces, per shard once every flight closed:
 ///
-///   accepted + rerouted_in == served + shed_capacity + shed_deadline
-///                             + rerouted_out
+///   submitted == accepted + rejected_*
+///   accepted + rerouted_in == served + shed_* + rerouted_out
 ///   hedges_fired == hedge_wins + primary_wins + hedges_failed
-///                               (one winner per hedge, unless every copy
-///                                of the request failed)
-///   hedges_fired == hedges_cancelled            (one loser per hedge)
+///                   (one winner per hedge, unless every copy failed)
+///   hedges_fired == hedges_cancelled   (one loser per hedge)
 ///
-/// and fleet-wide, because reroute in/out telescope:
-///
-///   sum(accepted) == sum(served) + sum(shed_*)
+/// and fleet-wide, because reroute in/out telescope,
+/// sum(accepted) == sum(served) + sum(shed_*).
 struct ShardCounters {
   /// Fresh arrivals whose route landed here (hedge duplicates excluded).
   uint64_t submitted = 0;

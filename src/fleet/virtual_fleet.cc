@@ -1,6 +1,7 @@
 #include "fleet/virtual_fleet.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -21,9 +22,8 @@ VirtualFleet::VirtualFleet(VirtualFleetOptions options,
                            telemetry::TelemetryStore* store)
     : options_(options),
       store_(store),
-      router_(options.shards, options.replicas_per_shard, options.router),
-      hedge_(options.hedge),
-      counters_(options.shards),
+      core_(options.shards, options.replicas_per_shard, options.router,
+            options.hedge),
       drain_spans_(options.shards, telemetry::kNoSpan),
       shard_latency_(options.shards) {
   ADS_CHECK(options_.workers_per_replica >= 1)
@@ -53,7 +53,7 @@ void VirtualFleet::RegisterBackend(const std::string& model,
 
 void VirtualFleet::SetRouter(const autonomy::VersionRouter* router) {
   ADS_CHECK(!ran_) << "SetRouter after Run()";
-  version_router_ = router;
+  core_.SetVersionRouter(router);
 }
 
 void VirtualFleet::SetTracer(telemetry::Tracer* tracer) {
@@ -115,36 +115,12 @@ void VirtualFleet::Emit(const serve::Response& response) {
   if (callback_ != nullptr) callback_(response);
 }
 
-void VirtualFleet::PublishLoad(ShardId shard) {
-  ShardLoad load;
-  load.queue_depth = ShardQueueDepth(shard);
-  for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
-    load.inflight +=
-        replicas_[shard * options_.replicas_per_shard + r].busy_workers;
-  }
-  const ShardCounters& c = counters_[shard];
-  load.shed_rate = c.accepted > 0 ? static_cast<double>(c.Shed()) /
-                                        static_cast<double>(c.accepted)
-                                  : 0.0;
-  load.p99_seconds = shard_latency_[shard].Quantile(0.99);
-  router_.UpdateLoad(shard, load);
-}
-
 void VirtualFleet::OnArrival(serve::Request request, double now) {
   auto backend_it = backends_.find(request.model);
   ADS_CHECK(backend_it != backends_.end())
       << "unregistered model: " << request.model;
   const uint64_t id = request.id;
-  ADS_CHECK(pending_.find(id) == pending_.end())
-      << "duplicate request id " << id;
-
-  const RouteDecision decision = router_.Route(request.tenant, id);
-  counters_[decision.shard].submitted += 1;
-  if (decision.reason == RouteReason::kDrainDivert) {
-    counters_[decision.home_shard].drain_diverts += 1;
-  } else if (decision.reason == RouteReason::kLoadDivert) {
-    counters_[decision.home_shard].load_diverts += 1;
-  }
+  const RouteDecision decision = core_.Route(request.tenant, id);
 
   // The fleet opens the causal root before admission: the routing verdict
   // is part of the request's story, and a hedge needs a parent that
@@ -167,51 +143,21 @@ void VirtualFleet::OnArrival(serve::Request request, double now) {
     request.trace_span = root;
   }
 
-  // Pin the model version once per logical request; both copies and any
-  // rerouted re-injection serve under this pin.
-  if (request.pinned_version == 0 && version_router_ != nullptr) {
-    request.pinned_version =
-        version_router_->Route(request.model, request.tenant);
-  }
-  if (request.pinned_version == 0) {
-    request.pinned_version = backend_it->second->CurrentDeployedVersion();
-  }
+  core_.Pin(&request, *backend_it->second);
 
   serve::Request prototype = request;  // kept for the hedge duplicate
   prototype.arrival = now;
   Replica& target = replica(decision.shard, decision.replica);
   serve::AdmitResult admit = target.core.Admit(std::move(request), now);
   if (!admit.accepted) {
-    switch (admit.decision) {
-      case serve::Outcome::kRejectedRateLimit:
-        counters_[decision.shard].rejected_rate_limit += 1;
-        break;
-      case serve::Outcome::kRejectedCapacity:
-        counters_[decision.shard].rejected_capacity += 1;
-        break;
-      case serve::Outcome::kRejectedDeadline:
-        counters_[decision.shard].rejected_deadline += 1;
-        break;
-      default:
-        ADS_CHECK(false) << "unexpected admission decision";
-    }
-    serve::Response response;
-    response.id = id;
-    response.outcome = admit.decision;
-    Emit(response);  // core already closed the root span
+    core_.Reject(decision.shard, admit.decision);
+    Emit(FailureResponse(id, admit.decision));  // core closed the root span
   } else {
-    counters_[decision.shard].accepted += 1;
-    Pending pending;
-    pending.prototype = std::move(prototype);
-    pending.owner = decision.shard;
-    pending.primary_replica = decision.replica;
-    pending.arrival = now;
-    pending.root_span = root;
-    pending_.emplace(id, std::move(pending));
-    if (hedge_.enabled() && options_.replicas_per_shard >= 2) {
-      queue_.ScheduleAt(now + hedge_.Delay(), [this, id](common::SimTime t) {
-        FireHedge(id, t);
-      });
+    core_.Accept(decision.shard);
+    core_.Open(id, decision, now, std::move(prototype)).root_span = root;
+    if (core_.hedging()) {
+      queue_.ScheduleAt(now + core_.HedgeDelay(),
+                        [this, id](common::SimTime t) { FireHedge(id, t); });
     }
   }
   if (admit.evicted) {
@@ -223,19 +169,10 @@ void VirtualFleet::OnArrival(serve::Request request, double now) {
 }
 
 void VirtualFleet::FireHedge(uint64_t id, double now) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // already finalized: nothing to hedge
-  Pending& p = it->second;
-  if (p.resolved || p.hedge_fired || p.primary_done) return;
-  // Never hedge into a draining shard: the duplicate would immediately be
-  // rerouted away, buying latency for nothing.
-  if (router_.draining(p.owner)) return;
-
-  p.hedge_fired = true;
-  p.hedge_shard = p.owner;
-  p.hedge_replica = (p.primary_replica + 1) % options_.replicas_per_shard;
-  p.hedge_home = p.owner;
-  counters_[p.hedge_home].hedges_fired += 1;
+  auto it = core_.Find(id);
+  if (it == core_.end()) return;  // already finalized: nothing to hedge
+  FleetCore::Flight& p = it->second;
+  if (!core_.FireHedge(p)) return;
 
   serve::Request copy = p.prototype;
   if (tracer_ != nullptr) {
@@ -255,8 +192,8 @@ void VirtualFleet::FireHedge(uint64_t id, double now) {
     // The duplicate could not even queue; the hedge resolves as an
     // immediate loser. Fleet rejected counters are untouched — the
     // logical request is still live on its primary.
-    p.hedge_done = true;  // core closed the hedge span with the outcome
-    MaybeFinalize(id, now);
+    core_.CopyFailed(p, FleetCore::Copy::kHedge, admit.decision);
+    MaybeFinalize(it, now);  // core closed the hedge span with the outcome
   }
   if (admit.evicted) {
     OnCopyFailure(shard, r, admit.victim.id, serve::Outcome::kShedCapacity,
@@ -303,7 +240,7 @@ void VirtualFleet::Dispatch(ShardId shard, size_t r, double now) {
       });
     }
   }
-  PublishLoad(shard);
+  core_.router().UpdateLoad(shard, ShardLoad{ShardQueueDepth(shard)});
 }
 
 void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
@@ -336,40 +273,25 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
   }
   for (size_t i = 0; i < batch_size; ++i) {
     const serve::Request& request = batch.requests[i];
-    auto it = pending_.find(request.id);
-    ADS_CHECK(it != pending_.end())
+    auto it = core_.Find(request.id);
+    ADS_CHECK(it != core_.end())
         << "completion for unknown request " << request.id;
-    Pending& p = it->second;
-    const bool is_primary = p.owner == shard && p.primary_replica == r;
-    if (!is_primary) {
-      ADS_CHECK(p.hedge_fired && p.hedge_shard == shard &&
-                p.hedge_replica == r)
-          << "completion at a shard/replica owning no copy of request "
-          << request.id;
-    }
+    FleetCore::Flight& p = it->second;
+    const FleetCore::Copy copy = core_.Locate(p, shard, r);
+    const bool is_primary = copy == FleetCore::Copy::kPrimary;
     const telemetry::SpanId copy_span = request.trace_span;
-    if (!p.resolved) {
-      // First completion wins: this copy's result is the response.
-      p.resolved = true;
-      counters_[p.owner].served += 1;
-      const double latency = now - p.arrival;
-      hedge_.Observe(latency);
+    // First completion wins: this copy's result is the response.
+    if (const std::optional<double> won = core_.CopyServed(p, copy, now)) {
+      const double latency = *won;
       latency_.Add(latency);
       shard_latency_[p.owner].Add(latency);
-      if (p.hedge_fired) {
-        if (is_primary) {
-          counters_[p.hedge_home].primary_wins += 1;
-        } else {
-          counters_[p.hedge_home].hedge_wins += 1;
-        }
-        if (tracer_ != nullptr) {
-          // Winner/loser cross-links: the root names the winning copy,
-          // the hedge span records its own fate.
-          tracer_->Annotate(p.root_span, "winner",
-                            is_primary ? "primary" : "hedge");
-          tracer_->Annotate(p.hedge_span, "result",
-                            is_primary ? "cancelled" : "won");
-        }
+      if (p.hedge_fired && tracer_ != nullptr) {
+        // Winner/loser cross-links: the root names the winning copy, the
+        // hedge span records its own fate.
+        tracer_->Annotate(p.root_span, "winner",
+                          is_primary ? "primary" : "hedge");
+        tracer_->Annotate(p.hedge_span, "result",
+                          is_primary ? "cancelled" : "won");
       }
       const autonomy::ResilientModelServer::ServeResult& served =
           served_rows[i];
@@ -405,13 +327,10 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
       tracer_->Annotate(serve_span, "discarded", "true");
       tracer_->EndSpan(serve_span, now);
     }
-    if (is_primary) {
-      p.primary_done = true;
-    } else {
-      p.hedge_done = true;
-      if (tracer_ != nullptr) tracer_->EndSpan(p.hedge_span, now);
+    if (!is_primary && tracer_ != nullptr) {
+      tracer_->EndSpan(p.hedge_span, now);
     }
-    MaybeFinalize(request.id, now);
+    MaybeFinalize(it, now);
   }
   if (backend_span != telemetry::kNoSpan) {
     tracer_->EndSpan(backend_span, now);
@@ -422,53 +341,23 @@ void VirtualFleet::OnBatchComplete(ShardId shard, size_t r,
 
 void VirtualFleet::OnCopyFailure(ShardId shard, size_t r, uint64_t id,
                                  serve::Outcome outcome, double now) {
-  auto it = pending_.find(id);
-  ADS_CHECK(it != pending_.end()) << "failure for unknown request " << id;
-  Pending& p = it->second;
-  if (p.owner == shard && p.primary_replica == r && !p.primary_done) {
-    p.primary_done = true;
-    p.root_ended = true;  // the core closed the root span with the outcome
-    if (!p.resolved && !p.have_failure) {
-      p.have_failure = true;
-      p.failure = outcome;
-    }
-  } else {
-    ADS_CHECK(p.hedge_fired && p.hedge_shard == shard &&
-              p.hedge_replica == r && !p.hedge_done)
-        << "failure at a shard/replica owning no copy of request " << id;
-    p.hedge_done = true;  // the core closed the hedge span
-  }
-  MaybeFinalize(id, now);
+  auto it = core_.Find(id);
+  ADS_CHECK(it != core_.end()) << "failure for unknown request " << id;
+  FleetCore::Flight& p = it->second;
+  // The replica core already closed the failed copy's span; for the
+  // primary that is the root span.
+  const FleetCore::Copy copy = core_.Locate(p, shard, r);
+  if (copy == FleetCore::Copy::kPrimary) p.root_ended = true;
+  core_.CopyFailed(p, copy, outcome);
+  MaybeFinalize(it, now);
 }
 
-void VirtualFleet::MaybeFinalize(uint64_t id, double now) {
-  auto it = pending_.find(id);
-  ADS_CHECK(it != pending_.end());
-  Pending& p = it->second;
-  if (!p.primary_done || (p.hedge_fired && !p.hedge_done)) return;
-  if (!p.resolved) {
-    // Every copy failed; the logical outcome is the primary's failure.
-    ADS_CHECK(p.have_failure) << "finalizing request " << id
-                              << " with no outcome";
-    if (p.failure == serve::Outcome::kShedCapacity) {
-      counters_[p.owner].shed_capacity += 1;
-    } else {
-      ADS_CHECK(p.failure == serve::Outcome::kShedDeadline)
-          << "unexpected copy failure outcome";
-      counters_[p.owner].shed_deadline += 1;
-    }
-    serve::Response response;
-    response.id = id;
-    response.outcome = p.failure;
-    Emit(response);
-  }
-  if (p.hedge_fired) {
-    // Exactly one loser per fired hedge, whatever its fate (cancelled at
-    // completion, shed, rejected at hedge admission, or zombie-dropped).
-    counters_[p.hedge_home].hedges_cancelled += 1;
-    // A hedge race both copies lost has no winner to count.
-    if (!p.resolved) counters_[p.hedge_home].hedges_failed += 1;
-  }
+void VirtualFleet::MaybeFinalize(FleetCore::Flights::iterator it,
+                                 double now) {
+  FleetCore::Flight& p = it->second;
+  if (!core_.Finalize(p)) return;
+  // Every copy failed: the logical outcome is the primary's failure.
+  if (!p.resolved) Emit(FailureResponse(it->first, p.failure));
   if (tracer_ != nullptr && p.root_span != telemetry::kNoSpan) {
     // The logical outcome may differ from the last copy-level annotation
     // (a shed primary whose hedge won is served), so re-annotate.
@@ -477,11 +366,11 @@ void VirtualFleet::MaybeFinalize(uint64_t id, double now) {
         serve::OutcomeName(p.resolved ? serve::Outcome::kServed : p.failure));
     if (!p.root_ended) tracer_->EndSpan(p.root_span, now);
   }
-  pending_.erase(it);
+  core_.Erase(it);
 }
 
 void VirtualFleet::DrainShardNow(ShardId shard, double now) {
-  router_.DrainShard(shard);
+  core_.router().DrainShard(shard);
   if (tracer_ != nullptr) {
     drain_spans_[shard] = tracer_->StartSpan("drain", ShardName(shard),
                                              telemetry::kNoSpan, now);
@@ -491,45 +380,32 @@ void VirtualFleet::DrainShardNow(ShardId shard, double now) {
   std::set<std::pair<ShardId, size_t>> touched;
   for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
     for (serve::Request& request : replica(shard, r).core.TakeQueued()) {
-      auto it = pending_.find(request.id);
-      ADS_CHECK(it != pending_.end())
+      auto it = core_.Find(request.id);
+      ADS_CHECK(it != core_.end())
           << "queued copy of unknown request " << request.id;
-      Pending& p = it->second;
-      const bool is_primary = p.owner == shard && p.primary_replica == r;
-      if (!is_primary) {
-        ADS_CHECK(p.hedge_fired && p.hedge_shard == shard &&
-                  p.hedge_replica == r)
-            << "queued copy at a shard/replica owning no copy of request "
-            << request.id;
-      }
+      FleetCore::Flight& p = it->second;
+      const FleetCore::Copy copy = core_.Locate(p, shard, r);
       if (p.resolved) {
         // A cancelled loser still queued: the drain is a natural
         // cancellation point — drop it instead of moving dead work.
         ++dropped;
-        if (is_primary) {
-          p.primary_done = true;
-        } else {
-          p.hedge_done = true;
-          if (tracer_ != nullptr) tracer_->EndSpan(p.hedge_span, now);
+        core_.CopyDropped(p, copy);
+        if (copy == FleetCore::Copy::kHedge && tracer_ != nullptr) {
+          tracer_->EndSpan(p.hedge_span, now);
         }
-        MaybeFinalize(request.id, now);
+        MaybeFinalize(it, now);
         continue;
       }
-      const ShardId target = router_.RerouteTarget(request.tenant, shard);
+      const ShardId target =
+          core_.router().RerouteTarget(request.tenant, shard);
       if (target == shard) {
         // Every other shard is draining too; keep the copy in place.
         replica(shard, r).core.Reinject(std::move(request));
         continue;
       }
-      if (is_primary) {
-        // Ownership transfer: the terminal outcome will be accounted on
-        // the target shard.
-        counters_[shard].rerouted_out += 1;
-        counters_[target].rerouted_in += 1;
-        p.owner = target;
-      } else {
-        p.hedge_shard = target;
-      }
+      // A moved primary transfers ownership: the terminal outcome will be
+      // accounted on the target shard.
+      core_.Reroute(p, copy, target);
       if (tracer_ != nullptr && request.trace_span != telemetry::kNoSpan) {
         telemetry::SpanId reroute = tracer_->StartSpan(
             "reroute", ShardName(shard) + ">" + ShardName(target),
@@ -546,17 +422,16 @@ void VirtualFleet::DrainShardNow(ShardId shard, double now) {
     }
   }
   if (tracer_ != nullptr && drain_spans_[shard] != telemetry::kNoSpan) {
-    tracer_->Annotate(drain_spans_[shard], "rerouted",
-                      std::to_string(moved));
+    tracer_->Annotate(drain_spans_[shard], "rerouted", std::to_string(moved));
     tracer_->Annotate(drain_spans_[shard], "dropped_losers",
                       std::to_string(dropped));
   }
   for (const auto& [target, r] : touched) Dispatch(target, r, now);
-  PublishLoad(shard);
+  core_.router().UpdateLoad(shard, ShardLoad{ShardQueueDepth(shard)});
 }
 
 void VirtualFleet::RejoinShardNow(ShardId shard, double now) {
-  router_.RejoinShard(shard);
+  core_.router().RejoinShard(shard);
   if (tracer_ != nullptr && drain_spans_[shard] != telemetry::kNoSpan) {
     tracer_->EndSpan(drain_spans_[shard], now);
     drain_spans_[shard] = telemetry::kNoSpan;
@@ -568,7 +443,7 @@ void VirtualFleet::SampleGauges(double now) {
     telemetry::ScopedGauges gauges(
         store_, "fleet.serve.",
         {{"shard", std::to_string(shard)}});
-    const ShardCounters& c = counters_[shard];
+    const ShardCounters& c = core_.counters()[shard];
     size_t busy = 0;
     for (size_t r = 0; r < options_.replicas_per_shard; ++r) {
       busy += replicas_[shard * options_.replicas_per_shard + r].busy_workers;
@@ -581,38 +456,17 @@ void VirtualFleet::SampleGauges(double now) {
     gauges.Record("rejected_total", now, static_cast<double>(c.Rejected()));
     gauges.Record("hedges_fired_total", now,
                   static_cast<double>(c.hedges_fired));
-    gauges.Record("draining", now, router_.draining(shard) ? 1.0 : 0.0);
+    gauges.Record("draining", now,
+                  core_.router().draining(shard) ? 1.0 : 0.0);
   }
-  bool busy_anywhere = false;
-  for (const Replica& replica : replicas_) {
-    if (replica.core.queued() > 0 || replica.busy_workers > 0) {
-      busy_anywhere = true;
-      break;
-    }
-  }
+  const bool busy_anywhere = std::any_of(
+      replicas_.begin(), replicas_.end(), [](const Replica& replica) {
+        return replica.core.queued() > 0 || replica.busy_workers > 0;
+      });
   if (busy_anywhere || !queue_.empty()) {
     queue_.ScheduleAt(now + options_.telemetry_period_seconds,
                       [this](common::SimTime t) { SampleGauges(t); });
   }
-}
-
-void VirtualFleet::CheckInvariants() const {
-  for (ShardId shard = 0; shard < options_.shards; ++shard) {
-    const ShardCounters& c = counters_[shard];
-    ADS_CHECK(c.submitted == c.accepted + c.Rejected())
-        << "shard " << shard << ": admission not total";
-    ADS_CHECK(c.accepted + c.rerouted_in ==
-              c.Finished() + c.rerouted_out)
-        << "shard " << shard << ": ownership ledger out of balance";
-    ADS_CHECK(c.hedges_fired ==
-              c.hedge_wins + c.primary_wins + c.hedges_failed)
-        << "shard " << shard << ": a fired hedge has no outcome";
-    ADS_CHECK(c.hedges_fired == c.hedges_cancelled)
-        << "shard " << shard << ": a fired hedge has no cancelled loser";
-  }
-  const ShardCounters fleet = Aggregate(counters_);
-  ADS_CHECK(fleet.accepted == fleet.served + fleet.Shed())
-      << "fleet ledger out of balance (reroutes double-counted?)";
 }
 
 VirtualFleetReport VirtualFleet::Run() {
@@ -622,16 +476,14 @@ VirtualFleetReport VirtualFleet::Run() {
     queue_.ScheduleAt(0.0, [this](common::SimTime t) { SampleGauges(t); });
   }
   queue_.RunAll();
-  ADS_CHECK(pending_.empty())
-      << "fleet drain left " << pending_.size() << " requests unresolved";
   for (const Replica& replica : replicas_) {
     ADS_CHECK(replica.core.queued() == 0) << "fleet drain left work queued";
   }
-  CheckInvariants();
+  core_.CheckInvariants();
 
   VirtualFleetReport report;
-  report.shards = counters_;
-  report.fleet = Aggregate(counters_);
+  report.shards = core_.counters();
+  report.fleet = Aggregate(report.shards);
   report.latency = latency_.Summary();
   report.shard_latency.reserve(options_.shards);
   for (const common::QuantileSketch& sketch : shard_latency_) {
@@ -649,7 +501,7 @@ VirtualFleetReport VirtualFleet::Run() {
           ? static_cast<double>(report.fleet.served) /
                 static_cast<double>(report.fleet.accepted)
           : 1.0;
-  report.hedge_delay_seconds = hedge_.Delay();
+  report.hedge_delay_seconds = core_.HedgeDelay();
   return report;
 }
 

@@ -13,9 +13,7 @@
 #include "common/event_queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "fleet/hedge.h"
-#include "fleet/router.h"
-#include "fleet/types.h"
+#include "fleet/core.h"
 #include "serve/core.h"
 #include "serve/types.h"
 #include "serve/virtual_server.h"
@@ -68,19 +66,15 @@ struct VirtualFleetReport {
   double hedge_delay_seconds = 0.0;
 };
 
-/// Virtual-time twin of the sharded serving fleet: N shards of M replica
-/// cores behind one FleetRouter, driven by a single discrete-event loop.
-/// Mirrors what FleetRuntime does with threads — consistent-hash routing,
-/// tail-latency hedging with first-completion-wins, rolling shard drains
-/// that reroute queued work with exact ownership accounting — but with a
-/// deterministic service-time model, so for a fixed seed the report and
-/// span table are byte-identical across runs and ADS_THREADS values.
-///
-/// Accounting is by logical request (see ShardCounters): a hedge launches
-/// a physical duplicate whose serve/shed never touches the served ledger;
-/// a drain reroute moves queued copies and transfers ownership. Cancelled
-/// losers are discarded at completion (virtual time cannot interrupt an
-/// in-flight batch, matching a real runtime that cannot un-send an RPC).
+/// Virtual-time runtime over FleetCore (routing, version pin, hedging and the
+/// logical-request ledger — the core FleetRuntime drives with threads):
+/// N shards of M replica cores under one discrete-event loop. It owns the
+/// event queue, the deterministic service-time model, the spans and the
+/// report, so for a fixed seed report and span table are byte-identical
+/// across runs and ADS_THREADS values. Drains reroute queued copies to
+/// each tenant's fallback shard; cancelled losers are discarded at
+/// completion (virtual time cannot interrupt an in-flight batch, matching
+/// a real runtime that cannot un-send an RPC).
 class VirtualFleet {
  public:
   using Callback = std::function<void(const serve::Response&)>;
@@ -116,8 +110,8 @@ class VirtualFleet {
   /// and fleet-wide accounting invariants before returning.
   VirtualFleetReport Run();
 
-  const FleetRouter& router() const { return router_; }
-  const HedgePolicy& hedge_policy() const { return hedge_; }
+  const FleetRouter& router() const { return core_.router(); }
+  const HedgePolicy& hedge_policy() const { return core_.hedge_policy(); }
 
  private:
   /// One replica: a full admission core plus its virtual workers and its
@@ -128,28 +122,6 @@ class VirtualFleet {
     serve::ServingCore core;
     common::Rng rng;
     size_t busy_workers = 0;
-  };
-
-  /// Per-logical-request hedge/ownership state machine. Lives from
-  /// acceptance to the terminal event of the last physical copy; exactly
-  /// one Response is emitted per entry.
-  struct Pending {
-    serve::Request prototype;  // post-pin copy, duplicated on hedge fire
-    ShardId owner = 0;         // shard owning the primary copy
-    size_t primary_replica = 0;
-    double arrival = 0.0;
-    bool resolved = false;      // terminal Response emitted
-    bool primary_done = false;  // primary copy reached a terminal event
-    bool root_ended = false;    // core closed the root span (reject paths)
-    bool hedge_fired = false;
-    bool hedge_done = false;
-    ShardId hedge_shard = 0;
-    size_t hedge_replica = 0;
-    ShardId hedge_home = 0;  // shard the hedge counters live on
-    bool have_failure = false;
-    serve::Outcome failure = serve::Outcome::kServed;
-    telemetry::SpanId root_span = telemetry::kNoSpan;
-    telemetry::SpanId hedge_span = telemetry::kNoSpan;
   };
 
   Replica& replica(ShardId shard, size_t r) {
@@ -169,26 +141,22 @@ class VirtualFleet {
                      serve::Outcome outcome, double now);
   void DrainShardNow(ShardId shard, double now);
   void RejoinShardNow(ShardId shard, double now);
-  void MaybeFinalize(uint64_t id, double now);
-  void PublishLoad(ShardId shard);
+  /// Closes the flight once its last copy is done: emits the failure
+  /// response of a flight no copy served and ends its root span.
+  void MaybeFinalize(FleetCore::Flights::iterator it, double now);
   void Emit(const serve::Response& response);
   void SampleGauges(double now);
-  void CheckInvariants() const;
 
   VirtualFleetOptions options_;
   telemetry::TelemetryStore* store_;
   telemetry::Tracer* tracer_ = nullptr;
-  const autonomy::VersionRouter* version_router_ = nullptr;
   common::EventQueue queue_;
-  FleetRouter router_;
-  HedgePolicy hedge_;
+  FleetCore core_;
   std::vector<Replica> replicas_;
   std::map<std::string, autonomy::ResilientModelServer*> backends_;
   Callback callback_;
   bool ran_ = false;
 
-  std::map<uint64_t, Pending> pending_;
-  std::vector<ShardCounters> counters_;
   std::vector<telemetry::SpanId> drain_spans_;
   common::QuantileSketch latency_;
   std::vector<common::QuantileSketch> shard_latency_;

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ads::common {
 namespace {
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 TEST(RngTest, DeterministicGivenSeed) {
   Rng a(7);
@@ -162,6 +168,55 @@ TEST(RngTest, BernoulliProbabilityRespected) {
     if (r.Bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.02);
+}
+
+// Normal and LogNormal scale one standard draw instead of building a
+// distribution per (mean, stddev); for stddev > 0 that must reproduce the
+// std distributions bit for bit, or every seeded experiment would drift.
+TEST(RngTest, NormalAndLogNormalMatchStdDistributionsBitForBit) {
+  const std::pair<double, double> kParams[] = {
+      {0.0, 1.0}, {10.0, 2.0}, {-3.0, 0.25}, {1e6, 1e-3}, {0.5, 7.5}};
+  for (uint64_t seed : {1ull, 7ull, 42ull, 20231019ull}) {
+    for (const auto& [mean, stddev] : kParams) {
+      Rng ours(seed);
+      std::mt19937_64 theirs(seed);
+      for (int i = 0; i < 200; ++i) {
+        const double got = ours.Normal(mean, stddev);
+        const double want =
+            std::normal_distribution<double>(mean, stddev)(theirs);
+        ASSERT_EQ(Bits(got), Bits(want))
+            << "Normal(" << mean << ", " << stddev << ") seed " << seed
+            << " draw " << i;
+      }
+      Rng ours_log(seed);
+      std::mt19937_64 theirs_log(seed);
+      for (int i = 0; i < 200; ++i) {
+        const double got = ours_log.LogNormal(mean / 1e6, stddev);
+        const double want = std::lognormal_distribution<double>(
+            mean / 1e6, stddev)(theirs_log);
+        ASSERT_EQ(Bits(got), Bits(want))
+            << "LogNormal(" << mean / 1e6 << ", " << stddev << ") seed "
+            << seed << " draw " << i;
+      }
+    }
+  }
+}
+
+// stddev == 0 is a legal "no noise" setting: it returns the mean exactly
+// and leaves the engine where a Normal(0, 1) draw would, so turning noise
+// off does not shift any later draw from the same stream.
+TEST(RngTest, ZeroStddevReturnsMeanAndConsumesAStandardDraw) {
+  for (uint64_t seed : {3ull, 99ull}) {
+    Rng zero(seed);
+    Rng standard(seed);
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_EQ(zero.Normal(4.25, 0.0), 4.25);
+      standard.Normal(0.0, 1.0);
+      EXPECT_EQ(zero.LogNormal(0.0, 0.0), 1.0);
+      standard.Normal(0.0, 1.0);
+    }
+    EXPECT_EQ(zero.engine()(), standard.engine()());
+  }
 }
 
 }  // namespace

@@ -51,8 +51,7 @@ TEST(FleetRouterTsanTest, ConcurrentRouteLoadAndDrainAreRaceFree) {
     while (!stop.load(std::memory_order_relaxed)) {
       for (ShardId s = 0; s < kShards; ++s) {
         ShardLoad load;
-        load.queue_depth = static_cast<double>((tick + s) % 80);
-        load.shed_rate = 0.01 * static_cast<double>(s);
+        load.queue_depth = (tick + s) % 80;
         router.UpdateLoad(s, load);
       }
       ++tick;

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -191,6 +193,68 @@ TEST(FleetRuntimeTest, HedgingFiresAndReconcilesUnderThreads) {
   // First-completion-wins bookkeeping closes exactly.
   EXPECT_EQ(total.hedges_fired, total.hedge_wins + total.primary_wins);
   EXPECT_EQ(total.hedges_fired, total.hedges_cancelled);
+}
+
+// A hedge win reports the logical latency — fleet admission to the
+// hedge's completion — not the hedge copy's own queue-to-serve time,
+// which leaves out the hedge delay it waited before launching.
+TEST(FleetRuntimeTest, HedgeWinReportsLatencyFromTheLogicalArrival) {
+  Backend backend;
+  common::ThreadPool pool(2);
+  FleetRuntimeOptions options;
+  options.shards = 1;
+  options.replicas_per_shard = 2;
+  // A lone request lingers for a pair it will not get: the primary stays
+  // queued on its replica for the whole test.
+  options.core.batcher.max_batch_size = 2;
+  options.core.batcher.max_linger_seconds = 30.0;
+  options.hedge.enabled = true;
+  options.hedge.min_samples = 1u << 30;  // pin the warmup delay all test
+  // Long enough that the partner below is served before its own hedge
+  // could fire into the lingering primary's batch.
+  options.hedge.initial_delay_seconds = 0.200;
+  FleetRuntime fleet(options, &pool);
+  fleet.RegisterBackend("m", &backend.server);
+  fleet.Start();
+
+  const serve::Request slow = MakeRequest(1, "slow");
+  const size_t primary = fleet.router().Route(slow.tenant, slow.id).replica;
+  // A partner routed to the replica the hedge will land on.
+  uint64_t partner_id = 2;
+  while (fleet.router().Route("partner", partner_id).replica == primary) {
+    ++partner_id;
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<serve::Response> won;
+  ASSERT_TRUE(fleet
+                  .Submit(slow,
+                          [&](const serve::Response& response) {
+                            std::lock_guard<std::mutex> lock(mu);
+                            won = response;
+                            cv.notify_all();
+                          })
+                  .ok());
+  while (fleet.FleetCounters().hedges_fired == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The partner completes the hedge's batch, so the hedge serves at once
+  // while the primary still lingers.
+  Ledger ledger;
+  ASSERT_TRUE(
+      fleet.Submit(MakeRequest(partner_id, "partner"), ledger.Callback())
+          .ok());
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return won.has_value(); });
+  }
+  fleet.Shutdown();
+
+  ASSERT_EQ(won->outcome, serve::Outcome::kServed);
+  EXPECT_EQ(fleet.FleetCounters().hedge_wins, 1u);
+  EXPECT_GE(won->latency_seconds, fleet.HedgeDelay())
+      << "hedge win reported the copy's latency, not the request's";
 }
 
 TEST(FleetRuntimeTest, GaugesExposePerReplicaAndPerShardSeries) {
