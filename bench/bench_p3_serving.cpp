@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_json.h"
 #include "autonomy/serving.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
@@ -45,18 +46,12 @@
 #include "serve/virtual_server.h"
 
 using namespace ads;  // NOLINT: bench brevity
+using bench::Metric;
 
 namespace {
 
 size_t g_scale = 10;  // --smoke drops this to 1
 bool g_smoke = false;
-
-/// Ordered so the JSON diffs cleanly run to run.
-std::vector<std::pair<std::string, double>> g_metrics;
-
-void Metric(const std::string& name, double value) {
-  g_metrics.emplace_back(name, value);
-}
 
 std::string BlobWithSlope(double slope) {
   ml::LinearRegressor m;
@@ -321,21 +316,6 @@ void RunFleet() {
   Metric("fleet_drain_p99_seconds", drain.latency.p99);
 }
 
-void WriteJson(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ADS_CHECK(f != nullptr) << "cannot open metrics output: " << path;
-  std::fprintf(f, "{\n  \"bench\": \"bench_p3_serving\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
-  std::fprintf(f, "  \"metrics\": {\n");
-  for (size_t i = 0; i < g_metrics.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.17g%s\n", g_metrics[i].first.c_str(),
-                 g_metrics[i].second, i + 1 < g_metrics.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote metrics: %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -359,6 +339,6 @@ int main(int argc, char** argv) {
   RunFaults();
   std::printf("\n");
   RunFleet();
-  WriteJson(out);
+  bench::WriteJson(out, "bench_p3_serving", g_smoke);
   return 0;
 }

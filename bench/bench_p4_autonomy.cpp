@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_json.h"
 #include "autonomy/loop.h"
 #include "autonomy/serving.h"
 #include "common/logging.h"
@@ -46,17 +47,11 @@
 #include "telemetry/span.h"
 
 using namespace ads;  // NOLINT: bench brevity
+using bench::Metric;
 
 namespace {
 
 bool g_smoke = false;
-
-/// Ordered so the JSON diffs cleanly run to run.
-std::vector<std::pair<std::string, double>> g_metrics;
-
-void Metric(const std::string& name, double value) {
-  g_metrics.emplace_back(name, value);
-}
 
 std::string BlobWithSlope(double slope) {
   ml::LinearRegressor m;
@@ -340,21 +335,6 @@ void RunThreadedFlight() {
          static_cast<double>(flighted.loop_stats.promotes));
 }
 
-void WriteJson(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ADS_CHECK(f != nullptr) << "cannot open metrics output: " << path;
-  std::fprintf(f, "{\n  \"bench\": \"bench_p4_autonomy\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
-  std::fprintf(f, "  \"metrics\": {\n");
-  for (size_t i = 0; i < g_metrics.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.17g%s\n", g_metrics[i].first.c_str(),
-                 g_metrics[i].second, i + 1 < g_metrics.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote metrics: %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -370,6 +350,6 @@ int main(int argc, char** argv) {
   RunVirtualFlights();
   std::printf("\n");
   RunThreadedFlight();
-  WriteJson(out);
+  bench::WriteJson(out, "bench_p4_autonomy", g_smoke);
   return 0;
 }

@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_json.h"
 #include "autonomy/serving.h"
 #include "common/logging.h"
 #include "common/matrix.h"
@@ -51,17 +52,12 @@
 #include "serve/runtime.h"
 
 using namespace ads;  // NOLINT: bench brevity
+using bench::g_metrics;
+using bench::Metric;
 
 namespace {
 
 bool g_smoke = false;
-
-/// Ordered so the JSON diffs cleanly run to run.
-std::vector<std::pair<std::string, double>> g_metrics;
-
-void Metric(const std::string& name, double value) {
-  g_metrics.emplace_back(name, value);
-}
 
 double Seconds(const std::function<void()>& fn) {
   auto start = std::chrono::steady_clock::now();
@@ -266,23 +262,6 @@ void RunServingTail() {
               "PredictBatch per micro-batch (latency includes queueing)");
 }
 
-void WriteJson(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ADS_CHECK(f != nullptr) << "cannot write " << path;
-  std::fprintf(f, "{\n  \"bench\": \"bench_p5_inference\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
-  std::fprintf(f, "  \"simd\": \"%s\",\n",
-               common::SimdLevelName(common::ActiveSimdLevel()));
-  std::fprintf(f, "  \"metrics\": {\n");
-  for (size_t i = 0; i < g_metrics.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.17g%s\n", g_metrics[i].first.c_str(),
-                 g_metrics[i].second, i + 1 < g_metrics.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %zu metrics to %s\n", g_metrics.size(), path.c_str());
-}
-
 /// Minimal scan for "key": number pairs — enough for the flat metric JSON
 /// this bench writes; no external parser dependencies.
 std::vector<std::pair<std::string, double>> ParseMetrics(
@@ -408,7 +387,7 @@ int main(int argc, char** argv) {
   RunKernelThroughput();
   std::printf("\n");
   RunServingTail();
-  WriteJson(out);
+  bench::WriteJson(out, "bench_p5_inference", g_smoke);
   if (!baseline.empty()) {
     int failures = CheckAgainstBaseline(baseline);
     if (failures > 0) {

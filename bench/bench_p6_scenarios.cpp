@@ -30,23 +30,18 @@
 #include <utility>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/logging.h"
 #include "common/table.h"
 #include "scenario/optimizer.h"
 #include "scenario/scenario.h"
 
 using namespace ads;  // NOLINT: bench brevity
+using bench::Metric;
 
 namespace {
 
 bool g_smoke = false;
-
-/// Ordered so the JSON diffs cleanly run to run.
-std::vector<std::pair<std::string, double>> g_metrics;
-
-void Metric(const std::string& name, double value) {
-  g_metrics.emplace_back(name, value);
-}
 
 void EmitReport(const std::string& prefix,
                 const scenario::ScenarioReport& report) {
@@ -149,21 +144,6 @@ void RunRobust(const std::vector<scenario::ScenarioSpec>& pack,
   Metric("robust_cores", static_cast<double>(robust.blueprint.Cores()));
 }
 
-void WriteJson(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ADS_CHECK(f != nullptr) << "cannot open metrics output: " << path;
-  std::fprintf(f, "{\n  \"bench\": \"bench_p6_scenarios\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
-  std::fprintf(f, "  \"metrics\": {\n");
-  for (size_t i = 0; i < g_metrics.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.17g%s\n", g_metrics[i].first.c_str(),
-                 g_metrics[i].second, i + 1 < g_metrics.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote metrics: %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -192,6 +172,6 @@ int main(int argc, char** argv) {
       RunOptimizer(pack, &optimizer);
   std::printf("\n");
   RunRobust(pack, results, &optimizer);
-  WriteJson(out);
+  bench::WriteJson(out, "bench_p6_scenarios", g_smoke);
   return 0;
 }

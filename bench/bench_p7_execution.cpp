@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_json.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "engine/exec_real.h"
@@ -45,17 +46,11 @@
 #include "workload/tpch_gen.h"
 
 using namespace ads;  // NOLINT: bench brevity
+using bench::Metric;
 
 namespace {
 
 bool g_smoke = false;
-
-/// Ordered so the JSON diffs cleanly run to run.
-std::vector<std::pair<std::string, double>> g_metrics;
-
-void Metric(const std::string& name, double value) {
-  g_metrics.emplace_back(name, value);
-}
 
 double Seconds(const std::function<void()>& fn) {
   auto start = std::chrono::steady_clock::now();
@@ -84,21 +79,6 @@ constexpr std::array<std::pair<engine::OpType, const char*>, 4> kShareOps = {{
 double StoreBytes(const engine::TableStore& store, const std::string& name) {
   const engine::ColumnTable* t = store.FindTable(name);
   return static_cast<double>(t->num_rows() * t->num_columns() * 8);
-}
-
-void WriteJson(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ADS_CHECK(f != nullptr) << "cannot write " << path;
-  std::fprintf(f, "{\n  \"bench\": \"bench_p7_execution\",\n");
-  std::fprintf(f, "  \"smoke\": %s,\n", g_smoke ? "true" : "false");
-  std::fprintf(f, "  \"metrics\": {\n");
-  for (size_t i = 0; i < g_metrics.size(); ++i) {
-    std::fprintf(f, "    \"%s\": %.17g%s\n", g_metrics[i].first.c_str(),
-                 g_metrics[i].second, i + 1 < g_metrics.size() ? "," : "");
-  }
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("wrote %zu metrics to %s\n", g_metrics.size(), path.c_str());
 }
 
 void Run() {
@@ -239,6 +219,6 @@ int main(int argc, char** argv) {
   }
   std::printf("P7 | real execution bench%s\n\n", g_smoke ? " (smoke)" : "");
   Run();
-  WriteJson(out);
+  bench::WriteJson(out, "bench_p7_execution", g_smoke);
   return 0;
 }

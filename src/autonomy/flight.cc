@@ -21,23 +21,12 @@ common::Status FlightEvaluator::Start(uint32_t treatment_version) {
     return common::Status::InvalidArgument(
         "treatment equals the deployed control");
   }
-  ADS_RETURN_IF_ERROR(registry_->StartFlight(model_, treatment_version,
-                                             options_.traffic_fraction));
+  ADS_RETURN_IF_ERROR(registry_->StartFlight(model_, treatment_version));
   treatment_version_ = treatment_version;
   decision_ = Decision::kPending;
   control_sum_ = treatment_sum_ = 0.0;
   control_n_ = treatment_n_ = 0;
   return common::Status::Ok();
-}
-
-uint32_t FlightEvaluator::Route(common::Rng& rng) const {
-  ADS_CHECK(registry_->FlightActive(model_) ||
-            decision_ != Decision::kPending)
-      << "route without an active flight";
-  if (decision_ != Decision::kPending) {
-    return registry_->DeployedVersion(model_);
-  }
-  return registry_->ServingVersion(model_, rng);
 }
 
 double FlightEvaluator::control_mean_error() const {

@@ -4,15 +4,12 @@
 #include <cstdint>
 #include <string>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "ml/registry.h"
 
 namespace ads::autonomy {
 
 struct FlightOptions {
-  /// Fraction of traffic routed to the treatment arm.
-  double traffic_fraction = 0.2;
   /// Samples required on each arm before a decision is made.
   size_t min_samples_per_arm = 50;
   /// Promote when treatment mean error <= control mean error * this ratio.
@@ -26,7 +23,9 @@ struct FlightOptions {
 /// undergo extensive testing before being deployed into production,
 /// including backtesting, flighting or A/B testing"). Wraps the registry's
 /// flight mechanism with error accounting and an automatic
-/// promote/abort decision.
+/// promote/abort decision. Which requests each arm serves is decided
+/// outside, by the serving tier's VersionRouter (AutonomyLoop's seeded
+/// tenant slice).
 class FlightEvaluator {
  public:
   enum class Decision { kPending, kPromoted, kAborted };
@@ -36,10 +35,6 @@ class FlightEvaluator {
 
   /// Starts flighting `treatment_version` against the deployed control.
   common::Status Start(uint32_t treatment_version);
-
-  /// Routes one request: returns the version that should serve it.
-  /// Requires an active flight.
-  uint32_t Route(common::Rng& rng) const;
 
   /// Records the serving error one request observed under `version`.
   /// When both arms have enough samples, decides: promote, abort, or keep

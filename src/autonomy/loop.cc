@@ -28,22 +28,6 @@ uint64_t SliceHash(uint64_t seed, const std::string& tenant) {
 
 }  // namespace
 
-const char* LoopStateName(LoopState state) {
-  switch (state) {
-    case LoopState::kSteady:
-      return "steady";
-    case LoopState::kRetraining:
-      return "retraining";
-    case LoopState::kShadow:
-      return "shadow";
-    case LoopState::kCanary:
-      return "canary";
-    case LoopState::kProbation:
-      return "probation";
-  }
-  return "unknown";
-}
-
 AutonomyLoop::AutonomyLoop(ml::ModelRegistry* registry, std::string model_name,
                            Trainer trainer, AutonomyLoopOptions options,
                            common::ThreadPool* pool,

@@ -47,9 +47,6 @@ enum class LoopState {
   kProbation,
 };
 
-/// Short stable name ("steady", "retraining", ...) for traces and tables.
-const char* LoopStateName(LoopState state);
-
 struct AutonomyLoopOptions {
   /// Drift detection over live serving errors (the retrain trigger, and
   /// the rollback trigger during probation).

@@ -1,37 +1,6 @@
 #include "autonomy/rai.h"
 
-#include <map>
-
 namespace ads::autonomy {
-
-common::Result<FairnessReport> AuditFairness(
-    const std::vector<std::pair<std::string, double>>& decisions,
-    double fairness_ratio) {
-  if (decisions.empty()) {
-    return common::Status::InvalidArgument("no decisions to audit");
-  }
-  std::map<std::string, SegmentOutcome> by_segment;
-  double total = 0.0;
-  for (const auto& [segment, benefit] : decisions) {
-    SegmentOutcome& out = by_segment[segment];
-    out.segment = segment;
-    ++out.customers;
-    out.mean_benefit += benefit;  // sum for now
-    total += benefit;
-  }
-  FairnessReport report;
-  report.overall_mean_benefit = total / static_cast<double>(decisions.size());
-  for (auto& [segment, out] : by_segment) {
-    out.mean_benefit /= static_cast<double>(out.customers);
-    if (out.mean_benefit <
-        fairness_ratio * report.overall_mean_benefit) {
-      report.flagged_segments.push_back(segment);
-      report.fair = false;
-    }
-    report.segments.push_back(out);
-  }
-  return report;
-}
 
 bool CostGuardrail::Approve(double predicted_cost, double predicted_benefit) {
   bool ok = predicted_cost <= max_cost_ &&

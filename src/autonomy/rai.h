@@ -1,38 +1,9 @@
 #ifndef ADS_AUTONOMY_RAI_H_
 #define ADS_AUTONOMY_RAI_H_
 
-#include <string>
-#include <utility>
-#include <vector>
-
-#include "common/status.h"
+#include <cstddef>
 
 namespace ads::autonomy {
-
-/// Aggregated outcome of autonomous decisions for one customer segment.
-struct SegmentOutcome {
-  std::string segment;
-  size_t customers = 0;
-  double mean_benefit = 0.0;
-};
-
-/// Fairness audit result (Direction 4: "we regularly check that our
-/// ML-driven decisions serve all customers fairly ... customers, big or
-/// small, do not get marginalized").
-struct FairnessReport {
-  std::vector<SegmentOutcome> segments;
-  /// Segments whose mean benefit falls below fairness_ratio * overall mean.
-  std::vector<std::string> flagged_segments;
-  bool fair = true;
-  double overall_mean_benefit = 0.0;
-};
-
-/// Audits per-customer decision benefits grouped by segment. `decisions`
-/// pairs a segment label with the realized benefit of the autonomous
-/// decision for one customer.
-common::Result<FairnessReport> AuditFairness(
-    const std::vector<std::pair<std::string, double>>& decisions,
-    double fairness_ratio = 0.5);
 
 /// Guardrail protecting customers from expensive autonomous decisions:
 /// every decision must clear an absolute cost cap and a benefit-per-cost

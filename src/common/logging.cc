@@ -5,7 +5,8 @@
 namespace ads::common {
 
 namespace {
-LogLevel g_level = LogLevel::kInfo;
+// Messages below this severity are dropped.
+constexpr LogLevel kMinLevel = LogLevel::kInfo;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -30,9 +31,6 @@ const char* Basename(const char* path) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
-
 namespace internal_logging {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -42,7 +40,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= g_level) {
+  if (level_ >= kMinLevel) {
     std::fprintf(stderr, "%s\n", stream_.str().c_str());
   }
 }

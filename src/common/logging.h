@@ -10,12 +10,6 @@ namespace ads::common {
 /// Severity levels for the library logger.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Returns the current global minimum severity; messages below it are dropped.
-LogLevel GetLogLevel();
-
-/// Sets the global minimum severity. Thread-compatible (set once at startup).
-void SetLogLevel(LogLevel level);
-
 namespace internal_logging {
 
 /// Accumulates one log line and emits it to stderr on destruction.

@@ -1,29 +1,10 @@
 #include "common/matrix.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace ads::common {
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
-  return m;
-}
-
-Result<Matrix> Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
-  if (rows.empty()) return Matrix();
-  Matrix out(rows.size(), rows[0].size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (rows[r].size() != out.cols()) {
-      return Status::InvalidArgument("FromRows: ragged row arity");
-    }
-    std::copy(rows[r].begin(), rows[r].end(), out.RowPtr(r));
-  }
-  return out;
-}
 
 Matrix Matrix::Transpose() const {
   Matrix t(cols_, rows_);
@@ -56,20 +37,6 @@ std::vector<double> Matrix::MultiplyVector(const std::vector<double>& v) const {
     for (size_t c = 0; c < cols_; ++c) acc += At(r, c) * v[c];
     out[r] = acc;
   }
-  return out;
-}
-
-Matrix Matrix::Add(const Matrix& other) const {
-  ADS_CHECK(rows_ == other.rows_ && cols_ == other.cols_)
-      << "matrix add shape mismatch";
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] + other.data_[i];
-  return out;
-}
-
-Matrix Matrix::Scale(double s) const {
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] * s;
   return out;
 }
 
@@ -116,47 +83,6 @@ Result<std::vector<double>> Matrix::CholeskySolve(
   return x;
 }
 
-Result<std::vector<double>> Matrix::GaussianSolve(
-    const std::vector<double>& b) const {
-  if (rows_ != cols_) {
-    return Status::InvalidArgument("GaussianSolve on non-square matrix");
-  }
-  if (b.size() != rows_) {
-    return Status::InvalidArgument("GaussianSolve rhs size mismatch");
-  }
-  size_t n = rows_;
-  Matrix a = *this;
-  std::vector<double> rhs = b;
-  for (size_t col = 0; col < n; ++col) {
-    // Partial pivot.
-    size_t pivot = col;
-    for (size_t r = col + 1; r < n; ++r) {
-      if (std::abs(a.At(r, col)) > std::abs(a.At(pivot, col))) pivot = r;
-    }
-    if (std::abs(a.At(pivot, col)) < 1e-12) {
-      return Status::FailedPrecondition("matrix is singular");
-    }
-    if (pivot != col) {
-      for (size_t c = 0; c < n; ++c) std::swap(a.At(pivot, c), a.At(col, c));
-      std::swap(rhs[pivot], rhs[col]);
-    }
-    for (size_t r = col + 1; r < n; ++r) {
-      double f = a.At(r, col) / a.At(col, col);
-      if (f == 0.0) continue;
-      for (size_t c = col; c < n; ++c) a.At(r, c) -= f * a.At(col, c);
-      rhs[r] -= f * rhs[col];
-    }
-  }
-  std::vector<double> x(n);
-  for (size_t ii = n; ii > 0; --ii) {
-    size_t i = ii - 1;
-    double sum = rhs[i];
-    for (size_t c = i + 1; c < n; ++c) sum -= a.At(i, c) * x[c];
-    x[i] = sum / a.At(i, i);
-  }
-  return x;
-}
-
 Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
                                               const std::vector<double>& y,
                                               double ridge) {
@@ -178,13 +104,6 @@ Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
   // tiny ridge, which is standard practice for telemetry features.
   for (size_t i = 0; i < gram.rows(); ++i) gram.At(i, i) += 1e-8;
   return gram.CholeskySolve(xty);
-}
-
-double Dot(const std::vector<double>& a, const std::vector<double>& b) {
-  ADS_CHECK(a.size() == b.size()) << "dot length mismatch";
-  double s = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-  return s;
 }
 
 }  // namespace ads::common

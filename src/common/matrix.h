@@ -16,9 +16,6 @@ class Matrix {
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  /// Identity matrix of size n.
-  static Matrix Identity(size_t n);
-
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
 
@@ -36,23 +33,13 @@ class Matrix {
     return std::vector<double>(RowPtr(r), RowPtr(r) + cols_);
   }
 
-  /// Builds a matrix from equal-arity rows. Fails with InvalidArgument on
-  /// ragged input; an empty row set yields a 0 x 0 matrix.
-  static Result<Matrix> FromRows(const std::vector<std::vector<double>>& rows);
-
   Matrix Transpose() const;
   Matrix Multiply(const Matrix& other) const;
   std::vector<double> MultiplyVector(const std::vector<double>& v) const;
-  Matrix Add(const Matrix& other) const;
-  Matrix Scale(double s) const;
 
   /// Solves (this) * x = b for symmetric positive-definite `this` via
   /// Cholesky. Fails with FailedPrecondition if not SPD.
   Result<std::vector<double>> CholeskySolve(const std::vector<double>& b) const;
-
-  /// Solves a general square system via Gaussian elimination with partial
-  /// pivoting. Fails if singular.
-  Result<std::vector<double>> GaussianSolve(const std::vector<double>& b) const;
 
  private:
   size_t rows_;
@@ -65,8 +52,6 @@ class Matrix {
 Result<std::vector<double>> SolveLeastSquares(const Matrix& x,
                                               const std::vector<double>& y,
                                               double ridge = 0.0);
-
-double Dot(const std::vector<double>& a, const std::vector<double>& b);
 
 }  // namespace ads::common
 

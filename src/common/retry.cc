@@ -1,83 +1,6 @@
 #include "common/retry.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/logging.h"
-
 namespace ads::common {
-
-RetryPolicy::RetryPolicy(RetryOptions options, uint64_t seed)
-    : options_(options), rng_(seed) {
-  ADS_CHECK(options_.max_attempts >= 1) << "retry needs at least one attempt";
-  ADS_CHECK(options_.initial_backoff_seconds >= 0.0) << "negative backoff";
-  ADS_CHECK(options_.backoff_multiplier >= 1.0)
-      << "backoff multiplier must be >= 1";
-  ADS_CHECK(options_.jitter >= 0.0 && options_.jitter < 1.0)
-      << "jitter fraction must be in [0, 1)";
-}
-
-bool RetryPolicy::IsRetriable(StatusCode code) {
-  return code == StatusCode::kInternal ||
-         code == StatusCode::kResourceExhausted;
-}
-
-double RetryPolicy::BackoffFor(int retry) {
-  ADS_CHECK(retry >= 1) << "retries are 1-based";
-  double delay = options_.initial_backoff_seconds *
-                 std::pow(options_.backoff_multiplier, retry - 1);
-  delay = std::min(delay, options_.max_backoff_seconds);
-  if (options_.jitter > 0.0) {
-    delay *= rng_.Uniform(1.0 - options_.jitter, 1.0 + options_.jitter);
-  }
-  return delay;
-}
-
-const char* RetryGiveUpReasonName(RetryGiveUpReason reason) {
-  switch (reason) {
-    case RetryGiveUpReason::kNone:
-      return "none";
-    case RetryGiveUpReason::kNonRetriable:
-      return "non_retriable";
-    case RetryGiveUpReason::kAttemptsExhausted:
-      return "attempts_exhausted";
-    case RetryGiveUpReason::kDeadlineExceeded:
-      return "deadline_exceeded";
-  }
-  return "unknown";
-}
-
-RetryResult RetryPolicy::Run(const std::function<Status()>& op) {
-  RetryResult result;
-  for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-    result.attempts = attempt;
-    result.status = op();
-    if (result.status.ok()) {
-      result.give_up_reason = RetryGiveUpReason::kNone;
-      return result;
-    }
-    if (!IsRetriable(result.status.code())) {
-      result.give_up_reason = RetryGiveUpReason::kNonRetriable;
-      return result;
-    }
-    if (attempt == options_.max_attempts) {
-      result.give_up_reason = RetryGiveUpReason::kAttemptsExhausted;
-      break;
-    }
-    // Snapshot the jitter stream: if the deadline aborts this wait, the
-    // draw is rolled back so a backoff that never happened cannot shift
-    // every later delay of a shared policy.
-    const Rng before_jitter = rng_;
-    double delay = BackoffFor(attempt);
-    if (result.total_backoff_seconds + delay > options_.deadline_seconds) {
-      rng_ = before_jitter;
-      result.give_up_reason = RetryGiveUpReason::kDeadlineExceeded;
-      break;  // the next wait would blow the budget; surface the last error
-    }
-    result.total_backoff_seconds += delay;
-  }
-  return result;
-}
 
 bool CircuitBreaker::AllowRequest(double now) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -1,93 +1,9 @@
 #ifndef ADS_COMMON_RETRY_H_
 #define ADS_COMMON_RETRY_H_
 
-#include <cstdint>
-#include <functional>
-#include <limits>
 #include <mutex>
 
-#include "common/rng.h"
-#include "common/status.h"
-
 namespace ads::common {
-
-/// Exponential-backoff retry parameters. Delays are simulated seconds (the
-/// library's simulators advance virtual time); nothing here sleeps.
-struct RetryOptions {
-  /// Attempts including the first (>= 1).
-  int max_attempts = 4;
-  /// Delay before the first retry.
-  double initial_backoff_seconds = 1.0;
-  /// Multiplier applied per retry.
-  double backoff_multiplier = 2.0;
-  /// Upper bound on any single delay (pre-jitter).
-  double max_backoff_seconds = 60.0;
-  /// Symmetric jitter half-width as a fraction of the delay (0 = none).
-  /// Jitter is drawn from the policy's seeded stream, so it is fully
-  /// deterministic and two policies with the same seed agree.
-  double jitter = 0.1;
-  /// Give up once cumulative backoff would exceed this budget.
-  double deadline_seconds = std::numeric_limits<double>::infinity();
-};
-
-/// Why RetryPolicy::Run stopped retrying. Callers that alert or reroute on
-/// exhausted budgets need the distinction: a blown deadline means the
-/// operation might have succeeded with more time, while exhausted attempts
-/// mean it kept failing for the whole budget.
-enum class RetryGiveUpReason {
-  /// The operation succeeded; nothing was given up.
-  kNone = 0,
-  /// The last status was not worth retrying (caller/state error).
-  kNonRetriable,
-  /// All max_attempts attempts failed with retriable errors.
-  kAttemptsExhausted,
-  /// The next backoff would have pushed total delay past deadline_seconds.
-  kDeadlineExceeded,
-};
-
-/// Short stable name ("none", "non_retriable", ...) for logs and tables.
-const char* RetryGiveUpReasonName(RetryGiveUpReason reason);
-
-/// Outcome of RetryPolicy::Run.
-struct RetryResult {
-  Status status;
-  /// Attempts actually made (>= 1 unless max_attempts < 1).
-  int attempts = 0;
-  /// Total simulated backoff delay accumulated between attempts.
-  double total_backoff_seconds = 0.0;
-  /// Why the loop stopped (kNone on success).
-  RetryGiveUpReason give_up_reason = RetryGiveUpReason::kNone;
-};
-
-/// Status-aware retry loop with deterministic exponential backoff: the
-/// resilience wrapper for fallible operations (VM acquisition, model
-/// serving, checkpoint writes) in the simulated control planes.
-class RetryPolicy {
- public:
-  explicit RetryPolicy(RetryOptions options = RetryOptions(),
-                       uint64_t seed = 0);
-
-  /// Transient failures worth retrying: Internal, ResourceExhausted.
-  /// Everything else (InvalidArgument, NotFound, FailedPrecondition, ...)
-  /// reflects a caller or state error a retry cannot fix.
-  static bool IsRetriable(StatusCode code);
-
-  /// Backoff delay before retry number `retry` (1-based), jittered.
-  /// Advances the jitter stream; successive calls give the delays of
-  /// successive retries.
-  double BackoffFor(int retry);
-
-  /// Runs `op` until it returns Ok, a non-retriable error, the attempt
-  /// budget is exhausted, or the deadline would be exceeded by the next
-  /// wait. Returns the final status plus attempt/backoff accounting.
-  RetryResult Run(const std::function<Status()>& op);
-
-  const RetryOptions& options() const { return options_; }
-
- private:
-  RetryOptions options_;
-  Rng rng_;
-};
 
 /// Per-dependency circuit breaker (closed → open → half-open), the guard
 /// the serving fallback chain uses to stop hammering a failing model

@@ -166,31 +166,6 @@ double Histogram::Fraction(size_t bucket) const {
   return static_cast<double>(counts_[bucket]) / static_cast<double>(total_);
 }
 
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  ADS_CHECK(x.size() == y.size()) << "correlation length mismatch";
-  size_t n = x.size();
-  if (n == 0) return 0.0;
-  double mx = 0.0;
-  double my = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    mx += x[i];
-    my += y[i];
-  }
-  mx /= static_cast<double>(n);
-  my /= static_cast<double>(n);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 double MeanAbsoluteError(const std::vector<double>& truth,
                          const std::vector<double>& pred) {
   ADS_CHECK(truth.size() == pred.size()) << "MAE length mismatch";

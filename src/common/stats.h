@@ -141,10 +141,6 @@ class Histogram {
   size_t non_finite_ = 0;
 };
 
-/// Pearson correlation of two equal-length series; 0 if degenerate.
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
-
 /// Regression error metrics. All return 0 on empty input.
 double MeanAbsoluteError(const std::vector<double>& truth,
                          const std::vector<double>& pred);

@@ -8,7 +8,7 @@ namespace ads::common {
 
 /// A simple text table used by the benchmark harnesses to print the rows and
 /// series that the paper's figures/claims report. Renders aligned columns to
-/// stdout and can also emit CSV.
+/// stdout.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers);
@@ -23,8 +23,6 @@ class Table {
 
   /// Renders the aligned table to a string.
   std::string ToText() const;
-  /// Renders as CSV (no quoting of separators; callers keep cells simple).
-  std::string ToCsv() const;
   /// Prints ToText() to stdout with an optional title line.
   void Print(const std::string& title = "") const;
 

@@ -145,11 +145,6 @@ void PlanNode::Visit(const std::function<void(const PlanNode&)>& fn) const {
   for (const auto& child : children) child->Visit(fn);
 }
 
-void PlanNode::VisitMutable(const std::function<void(PlanNode&)>& fn) {
-  fn(*this);
-  for (auto& child : children) child->VisitMutable(fn);
-}
-
 std::string PlanNode::ToString(int indent) const {
   std::ostringstream os;
   os << std::string(static_cast<size_t>(indent) * 2, ' ') << OpTypeName(op);

@@ -112,7 +112,6 @@ struct PlanNode {
 
   /// Pre-order visit.
   void Visit(const std::function<void(const PlanNode&)>& fn) const;
-  void VisitMutable(const std::function<void(PlanNode&)>& fn);
 
   /// Human-readable indented tree (for debugging and examples).
   std::string ToString(int indent = 0) const;

@@ -7,40 +7,6 @@
 
 namespace ads::engine {
 
-const char* RuleName(RuleId id) {
-  switch (id) {
-    case RuleId::kFilterMerge:
-      return "FilterMerge";
-    case RuleId::kFilterPushdownProject:
-      return "FilterPushdownProject";
-    case RuleId::kFilterPushdownJoin:
-      return "FilterPushdownJoin";
-    case RuleId::kFilterPushdownUnion:
-      return "FilterPushdownUnion";
-    case RuleId::kFilterPushdownAggregate:
-      return "FilterPushdownAggregate";
-    case RuleId::kPredicateSimplify:
-      return "PredicateSimplify";
-    case RuleId::kContradictionToEmpty:
-      return "ContradictionToEmpty";
-    case RuleId::kProjectMerge:
-      return "ProjectMerge";
-    case RuleId::kProjectIntoScan:
-      return "ProjectIntoScan";
-    case RuleId::kSortElimination:
-      return "SortElimination";
-    case RuleId::kJoinCommute:
-      return "JoinCommute";
-    case RuleId::kJoinAssociativity:
-      return "JoinAssociativity";
-    case RuleId::kBroadcastJoin:
-      return "BroadcastJoin";
-    case RuleId::kEagerAggregation:
-      return "EagerAggregation";
-  }
-  return "?";
-}
-
 RuleConfig RuleConfig::Default() {
   RuleConfig c = All();
   c.enabled.reset(static_cast<size_t>(RuleId::kEagerAggregation));

@@ -35,8 +35,6 @@ enum class RuleId : int {
 
 inline constexpr int kNumRules = 14;
 
-const char* RuleName(RuleId id);
-
 /// On/off configuration of the rule set.
 struct RuleConfig {
   std::bitset<kNumRules> enabled;

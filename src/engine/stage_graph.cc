@@ -12,12 +12,6 @@ double StageGraph::TotalWork() const {
   return w;
 }
 
-double StageGraph::TotalTempBytes() const {
-  double b = 0.0;
-  for (const Stage& s : stages) b += s.output_bytes;
-  return b;
-}
-
 std::vector<std::vector<int>> StageGraph::Consumers() const {
   std::vector<std::vector<int>> consumers(stages.size());
   for (const Stage& s : stages) {

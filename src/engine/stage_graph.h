@@ -32,7 +32,6 @@ struct StageGraph {
 
   size_t size() const { return stages.size(); }
   double TotalWork() const;
-  double TotalTempBytes() const;
 
   /// Downstream adjacency (consumers of each stage).
   std::vector<std::vector<int>> Consumers() const;

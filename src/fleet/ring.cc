@@ -85,10 +85,6 @@ void HashRing::RemoveShard(ShardId shard) {
               ring_.end());
 }
 
-std::vector<ShardId> HashRing::Shards() const {
-  return std::vector<ShardId>(shards_.begin(), shards_.end());
-}
-
 size_t HashRing::FirstAtOrAfter(uint64_t point) const {
   return static_cast<size_t>(
       std::lower_bound(ring_.begin(), ring_.end(), point,

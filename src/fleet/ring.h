@@ -48,8 +48,6 @@ class HashRing {
   void RemoveShard(ShardId shard);
   bool Contains(ShardId shard) const { return shards_.count(shard) > 0; }
   size_t shard_count() const { return shards_.size(); }
-  /// Shards currently on the ring, ascending.
-  std::vector<ShardId> Shards() const;
 
   /// Home shard for a tenant. Requires a non-empty ring.
   ShardId ShardFor(const std::string& tenant) const;

@@ -33,15 +33,18 @@ RouteDecision FleetRouter::Route(const std::string& tenant,
                                  uint64_t request_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   RouteDecision decision;
-  std::vector<ShardId> prefs = ring_.PreferenceOrder(tenant, shard_count_);
-  decision.home_shard = prefs[0];
-  decision.shard = prefs[0];
+  const ShardId home = ring_.ShardFor(tenant);
+  decision.home_shard = home;
+  decision.shard = home;
   decision.reason = RouteReason::kHome;
-  const bool home_draining = draining_[prefs[0]] != 0;
+  const bool home_draining = draining_[home] != 0;
   const bool home_overloaded =
-      static_cast<double>(load_[prefs[0]].queue_depth) >
+      static_cast<double>(load_[home].queue_depth) >
       options_.overload_queue_depth;
   if (home_draining || home_overloaded) {
+    // Only a divert walks the ring past the home shard (prefs[0] == home).
+    const std::vector<ShardId> prefs =
+        ring_.PreferenceOrder(tenant, shard_count_);
     for (size_t i = 1; i < prefs.size(); ++i) {
       const ShardId candidate = prefs[i];
       if (draining_[candidate] != 0) continue;

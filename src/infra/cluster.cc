@@ -75,18 +75,4 @@ size_t Cluster::dead_count() const {
   return n;
 }
 
-double Cluster::RackPowerWatts(int rack) const {
-  double w = 0.0;
-  for (const auto& m : machines_) {
-    if (m->rack() == rack) w += m->PowerWatts();
-  }
-  return w;
-}
-
-double Cluster::CostPerHour() const {
-  double c = 0.0;
-  for (const auto& m : machines_) c += m->spec().cost_per_hour;
-  return c;
-}
-
 }  // namespace ads::infra

@@ -45,13 +45,8 @@ class Cluster {
   /// Machines currently dead.
   size_t dead_count() const;
 
-  /// Sum of PowerWatts over a rack's machines.
-  double RackPowerWatts(int rack) const;
   /// Highest rack id present (racks are 0-based).
   int max_rack() const { return max_rack_; }
-
-  /// Total hourly cost of the fleet.
-  double CostPerHour() const;
 
  private:
   std::vector<std::unique_ptr<Machine>> machines_;

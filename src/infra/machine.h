@@ -22,9 +22,6 @@ struct SkuSpec {
   /// Scheduler knob: default maximum concurrently running containers.
   int default_max_containers = 16;
   double cost_per_hour = 1.0;
-  /// Power draw at idle and at 100% utilization (per machine, watts).
-  double idle_watts = 120.0;
-  double busy_watts = 400.0;
 
   /// CPU utilization contributed by one running container (fraction).
   double cpu_per_container = 0.05;
@@ -91,14 +88,6 @@ class Machine {
   double TaskSlowdown() const {
     double over = CpuUtilization() - spec_.util_knee;
     return over > 0.0 ? 1.0 + spec_.slowdown_per_util * over : 1.0;
-  }
-
-  /// Instantaneous power draw under the current load (a dead machine
-  /// draws nothing).
-  double PowerWatts() const {
-    if (state_ == MachineState::kDead) return 0.0;
-    return spec_.idle_watts +
-           (spec_.busy_watts - spec_.idle_watts) * CpuUtilization();
   }
 
   double temp_storage_used_gb() const { return temp_used_gb_; }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ml/forecast.h"
-
 namespace ads::learned {
 
 using engine::OpType;
@@ -104,42 +102,6 @@ std::vector<TemplateInfo> WorkloadAnalyzer::Templates() const {
               return a.occurrences > b.occurrences;
             });
   return out;
-}
-
-void WorkloadAnalyzer::ObserveJobAt(uint64_t job_id, const PlanNode& plan,
-                                    double runtime_seconds,
-                                    double submit_time_hours,
-                                    double total_compute) {
-  ObserveJob(job_id, plan, runtime_seconds, total_compute);
-  if (submit_time_hours < 0.0) return;
-  size_t hour = static_cast<size_t>(submit_time_hours);
-  if (hourly_counts_.size() <= hour) hourly_counts_.resize(hour + 1, 0.0);
-  hourly_counts_[hour] += 1.0;
-}
-
-common::Result<double> WorkloadAnalyzer::ForecastHourlyJobs(
-    size_t hours_ahead) const {
-  if (hourly_counts_.empty()) {
-    return common::Status::FailedPrecondition(
-        "no timed observations (use ObserveJobAt)");
-  }
-  if (hours_ahead == 0) {
-    return common::Status::InvalidArgument("hours_ahead must be >= 1");
-  }
-  if (hourly_counts_.size() >= 3 * 24) {
-    ml::SeasonalNaiveForecaster daily(24);
-    ADS_RETURN_IF_ERROR(daily.Fit(hourly_counts_));
-    return daily.Forecast(hours_ahead);
-  }
-  ml::EwmaForecaster ewma(0.3);
-  ADS_RETURN_IF_ERROR(ewma.Fit(hourly_counts_));
-  return ewma.Forecast(hours_ahead);
-}
-
-double WorkloadAnalyzer::ForecastRuntime(uint64_t template_signature) const {
-  auto it = templates_.find(template_signature);
-  if (it == templates_.end()) return 0.0;
-  return it->second.mean_runtime();
 }
 
 }  // namespace ads::learned

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "engine/plan.h"
 
 namespace ads::learned {
@@ -56,12 +55,6 @@ class WorkloadAnalyzer {
   void ObserveJob(uint64_t job_id, const engine::PlanNode& plan,
                   double runtime_seconds, double total_compute = 0.0);
 
-  /// Timed variant: also attributes the job to an hour-of-history bucket
-  /// so the analyzer can learn the workload's evolution over time.
-  void ObserveJobAt(uint64_t job_id, const engine::PlanNode& plan,
-                    double runtime_seconds, double submit_time_hours,
-                    double total_compute = 0.0);
-
   size_t jobs_observed() const { return jobs_.size(); }
 
   /// Fraction of observed jobs whose template signature occurred more than
@@ -85,22 +78,6 @@ class WorkloadAnalyzer {
   /// All job observations in arrival order.
   const std::vector<JobObservation>& jobs() const { return jobs_; }
 
-  /// Mean runtime of future occurrences forecast per template: the simple
-  /// "learn from the past" predictor (mean of history).
-  double ForecastRuntime(uint64_t template_signature) const;
-
-  /// Forecasts the number of job submissions `hours_ahead` hours past the
-  /// end of the timed history ("learn the evolving nature of the
-  /// historical workloads to forecast future workloads"). Uses a
-  /// seasonal-naive daily model once 3 days of timed history exist, EWMA
-  /// before that. Fails without timed observations.
-  common::Result<double> ForecastHourlyJobs(size_t hours_ahead = 1) const;
-
-  /// Hourly submission counts observed via ObserveJobAt (index = hour).
-  const std::vector<double>& hourly_job_counts() const {
-    return hourly_counts_;
-  }
-
  private:
   std::vector<JobObservation> jobs_;
   std::map<uint64_t, TemplateInfo> templates_;
@@ -109,8 +86,6 @@ class WorkloadAnalyzer {
   std::map<uint64_t, size_t> subexpr_job_counts_;
   // per observed job: the distinct subexpression signatures it contains.
   std::vector<std::pair<uint64_t, std::vector<uint64_t>>> job_subexprs_;
-  // hourly submission counts (index = floor(submit hour)).
-  std::vector<double> hourly_counts_;
 };
 
 }  // namespace ads::learned

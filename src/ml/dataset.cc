@@ -79,12 +79,4 @@ std::vector<double> Standardizer::Transform(const std::vector<double>& x) const 
   return out;
 }
 
-Dataset Standardizer::TransformAll(const Dataset& data) const {
-  Dataset out(data.feature_names());
-  for (size_t i = 0; i < data.size(); ++i) {
-    out.Add(Transform(data.row(i)), data.label(i));
-  }
-  return out;
-}
-
 }  // namespace ads::ml

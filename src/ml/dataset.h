@@ -57,8 +57,6 @@ class Standardizer {
 
   /// Applies the learned transform to one feature vector.
   std::vector<double> Transform(const std::vector<double>& x) const;
-  /// Transforms an entire dataset (labels unchanged).
-  Dataset TransformAll(const Dataset& data) const;
 
   bool fitted() const { return !means_.empty(); }
   const std::vector<double>& means() const { return means_; }

@@ -3,54 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
-
 namespace ads::ml {
-
-common::Result<double> PopulationStabilityIndex(
-    const std::vector<double>& reference, const std::vector<double>& current,
-    size_t buckets) {
-  if (reference.empty() || current.empty()) {
-    return common::Status::InvalidArgument("PSI on empty sample");
-  }
-  if (buckets == 0) {
-    return common::Status::InvalidArgument("PSI needs at least one bucket");
-  }
-  double lo = reference[0];
-  double hi = reference[0];
-  for (double v : reference) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  for (double v : current) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-  if (hi <= lo) hi = lo + 1.0;  // all-equal degenerate case
-  double width = (hi - lo) / static_cast<double>(buckets);
-
-  auto fractions = [&](const std::vector<double>& sample) {
-    std::vector<double> f(buckets, 0.0);
-    for (double v : sample) {
-      size_t b = std::min(buckets - 1,
-                          static_cast<size_t>((v - lo) / width));
-      f[b] += 1.0;
-    }
-    for (double& x : f) x /= static_cast<double>(sample.size());
-    return f;
-  };
-  std::vector<double> ref_f = fractions(reference);
-  std::vector<double> cur_f = fractions(current);
-
-  constexpr double kFloor = 1e-4;  // standard PSI zero-bucket smoothing
-  double psi = 0.0;
-  for (size_t b = 0; b < buckets; ++b) {
-    double r = std::max(ref_f[b], kFloor);
-    double c = std::max(cur_f[b], kFloor);
-    psi += (c - r) * std::log(c / r);
-  }
-  return psi;
-}
 
 bool DriftDetector::Observe(double abs_error) {
   if (!std::isfinite(abs_error)) return alarmed_;

@@ -3,18 +3,8 @@
 
 #include <cstddef>
 #include <deque>
-#include <vector>
-
-#include "common/status.h"
 
 namespace ads::ml {
-
-/// Population Stability Index between a reference and a current sample over
-/// shared equal-width buckets. PSI > 0.2 is the conventional "significant
-/// drift" threshold. Returns InvalidArgument on empty inputs.
-common::Result<double> PopulationStabilityIndex(
-    const std::vector<double>& reference, const std::vector<double>& current,
-    size_t buckets = 10);
 
 struct DriftDetectorOptions {
   size_t baseline_window = 50;

@@ -150,20 +150,6 @@ size_t FlatTreeEnsemble::block_rows() const {
   return kMaxBlockRows;
 }
 
-double FlatTreeEnsemble::PredictRow(const double* row) const {
-  ADS_CHECK(!empty()) << "predict on an empty flat ensemble";
-  const Node* nodes = nodes_.data();
-  if (mode_ == Aggregation::kSingle) {
-    return TraverseTree(nodes, roots_[0], row);
-  }
-  double acc = AggregateInit();
-  for (int32_t root : roots_) {
-    double v = TraverseTree(nodes, root, row);
-    acc += mode_ == Aggregation::kBoostedSum ? rate_ * v : v;
-  }
-  return Finish(acc);
-}
-
 void FlatTreeEnsemble::PredictRows(const common::Matrix& rows, size_t begin,
                                    size_t end, double* out) const {
   ADS_CHECK(!empty()) << "predict on an empty flat ensemble";

@@ -77,9 +77,6 @@ class FlatTreeEnsemble {
   /// over more rows. Exposed so tests can pin the table's behaviour.
   size_t block_rows() const;
 
-  /// Prediction for one contiguous row of at least min_arity() features.
-  double PredictRow(const double* row) const;
-
   /// Writes predictions for rows [begin, end) of `rows` into
   /// out[begin..end). Rows are processed in fixed-size blocks with a
   /// level-synchronous walk per tree: every row in the block advances one

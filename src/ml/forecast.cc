@@ -34,83 +34,6 @@ void SeasonalNaiveForecaster::Update(double value) {
   history_.push_back(value);
 }
 
-common::Status EwmaForecaster::Fit(const std::vector<double>& series) {
-  if (series.empty()) {
-    return common::Status::InvalidArgument("ewma fit on empty series");
-  }
-  level_ = series[0];
-  for (size_t i = 1; i < series.size(); ++i) {
-    level_ = alpha_ * series[i] + (1.0 - alpha_) * level_;
-  }
-  fitted_ = true;
-  return common::Status::Ok();
-}
-
-double EwmaForecaster::Forecast(size_t) const {
-  ADS_CHECK(fitted_) << "forecast before fit";
-  return level_;
-}
-
-void EwmaForecaster::Update(double value) {
-  if (!fitted_) {
-    level_ = value;
-    fitted_ = true;
-    return;
-  }
-  level_ = alpha_ * value + (1.0 - alpha_) * level_;
-}
-
-common::Status HoltWintersForecaster::Fit(const std::vector<double>& series) {
-  size_t p = options_.period;
-  if (p < 2) {
-    return common::Status::InvalidArgument("holt-winters needs period >= 2");
-  }
-  if (series.size() < 2 * p) {
-    return common::Status::InvalidArgument(
-        "holt-winters needs at least two full periods");
-  }
-  // Initialize level/trend from the first two seasons.
-  double mean1 = 0.0;
-  double mean2 = 0.0;
-  for (size_t i = 0; i < p; ++i) {
-    mean1 += series[i];
-    mean2 += series[p + i];
-  }
-  mean1 /= static_cast<double>(p);
-  mean2 /= static_cast<double>(p);
-  level_ = mean1;
-  trend_ = (mean2 - mean1) / static_cast<double>(p);
-  seasonal_.assign(p, 0.0);
-  for (size_t i = 0; i < p; ++i) seasonal_[i] = series[i] - mean1;
-  phase_ = 0;
-  fitted_ = true;
-  // Run the smoothing recursions over the whole series.
-  for (double v : series) Update(v);
-  return common::Status::Ok();
-}
-
-void HoltWintersForecaster::Update(double value) {
-  ADS_CHECK(fitted_) << "update before fit";
-  size_t p = options_.period;
-  double season = seasonal_[phase_];
-  double prev_level = level_;
-  level_ = options_.alpha * (value - season) +
-           (1.0 - options_.alpha) * (level_ + trend_);
-  trend_ = options_.beta * (level_ - prev_level) +
-           (1.0 - options_.beta) * trend_;
-  seasonal_[phase_] = options_.gamma * (value - level_) +
-                      (1.0 - options_.gamma) * season;
-  phase_ = (phase_ + 1) % p;
-}
-
-double HoltWintersForecaster::Forecast(size_t steps_ahead) const {
-  ADS_CHECK(fitted_) << "forecast before fit";
-  ADS_CHECK(steps_ahead >= 1) << "steps_ahead must be >= 1";
-  size_t p = options_.period;
-  size_t idx = (phase_ + steps_ahead - 1) % p;
-  return level_ + static_cast<double>(steps_ahead) * trend_ + seasonal_[idx];
-}
-
 common::Result<BacktestReport> Backtest(Forecaster& forecaster,
                                         const std::vector<double>& series,
                                         size_t min_train, size_t horizon) {

@@ -44,51 +44,6 @@ class SeasonalNaiveForecaster : public Forecaster {
   std::vector<double> history_;
 };
 
-/// Exponentially weighted moving average (level-only smoothing).
-class EwmaForecaster : public Forecaster {
- public:
-  explicit EwmaForecaster(double alpha = 0.3) : alpha_(alpha) {}
-
-  common::Status Fit(const std::vector<double>& series) override;
-  double Forecast(size_t steps_ahead) const override;
-  void Update(double value) override;
-  std::string TypeName() const override { return "ewma"; }
-
- private:
-  double alpha_;
-  bool fitted_ = false;
-  double level_ = 0.0;
-};
-
-struct HoltWintersOptions {
-  size_t period = 24;
-  double alpha = 0.3;  // level
-  double beta = 0.05;  // trend
-  double gamma = 0.3;  // seasonality
-};
-
-/// Additive Holt-Winters (level + trend + seasonal), the default model for
-/// strongly diurnal cloud usage traces.
-class HoltWintersForecaster : public Forecaster {
- public:
-  using Options = HoltWintersOptions;
-
-  explicit HoltWintersForecaster(Options options = Options()) : options_(options) {}
-
-  common::Status Fit(const std::vector<double>& series) override;
-  double Forecast(size_t steps_ahead) const override;
-  void Update(double value) override;
-  std::string TypeName() const override { return "holt_winters"; }
-
- private:
-  Options options_;
-  bool fitted_ = false;
-  double level_ = 0.0;
-  double trend_ = 0.0;
-  std::vector<double> seasonal_;
-  size_t phase_ = 0;  // index into seasonal_ of the NEXT step
-};
-
 /// Rolling-origin backtest result.
 struct BacktestReport {
   double mape = 0.0;

@@ -1,7 +1,6 @@
 #include "ml/linear.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/aligned.h"
@@ -118,55 +117,6 @@ common::Result<LinearRegressor> LinearRegressor::Deserialize(
   LinearRegressor model;
   model.SetCoefficients(intercept, std::move(w));
   return model;
-}
-
-namespace {
-double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
-}  // namespace
-
-common::Status LogisticRegressor::Fit(const Dataset& data) {
-  if (data.empty()) {
-    return common::Status::InvalidArgument("logistic fit on empty data");
-  }
-  for (size_t i = 0; i < data.size(); ++i) {
-    double y = data.label(i);
-    if (y != 0.0 && y != 1.0) {
-      return common::Status::InvalidArgument(
-          "logistic labels must be 0 or 1");
-    }
-  }
-  size_t n = data.size();
-  size_t d = data.dimensions();
-  intercept_ = 0.0;
-  weights_.assign(d, 0.0);
-  double inv_n = 1.0 / static_cast<double>(n);
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    double grad0 = 0.0;
-    std::vector<double> grad(d, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      double z = intercept_;
-      for (size_t j = 0; j < d; ++j) z += weights_[j] * data.row(i)[j];
-      double err = Sigmoid(z) - data.label(i);
-      grad0 += err;
-      for (size_t j = 0; j < d; ++j) grad[j] += err * data.row(i)[j];
-    }
-    intercept_ -= options_.learning_rate * grad0 * inv_n;
-    for (size_t j = 0; j < d; ++j) {
-      weights_[j] -= options_.learning_rate *
-                     (grad[j] * inv_n + options_.l2 * weights_[j]);
-    }
-  }
-  return common::Status::Ok();
-}
-
-double LogisticRegressor::PredictProbability(
-    const std::vector<double>& features) const {
-  ADS_CHECK(fitted()) << "predict on unfitted logistic model";
-  ADS_CHECK(features.size() == weights_.size())
-      << "logistic predict arity mismatch";
-  double z = intercept_;
-  for (size_t j = 0; j < weights_.size(); ++j) z += weights_[j] * features[j];
-  return Sigmoid(z);
 }
 
 }  // namespace ads::ml

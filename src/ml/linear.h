@@ -42,34 +42,6 @@ class LinearRegressor : public Regressor {
   std::vector<double> weights_;
 };
 
-struct LogisticOptions {
-  double learning_rate = 0.1;
-  int epochs = 200;
-  double l2 = 1e-4;
-};
-
-/// Binary logistic regression trained by gradient descent. Used for
-/// validation/guard models (e.g. "will this plan regress?").
-class LogisticRegressor : public Classifier {
- public:
-  using Options = LogisticOptions;
-
-  explicit LogisticRegressor(Options options = Options()) : options_(options) {}
-
-  common::Status Fit(const Dataset& data) override;
-  double PredictProbability(const std::vector<double>& features) const override;
-  std::string TypeName() const override { return "logistic"; }
-
-  bool fitted() const { return !weights_.empty(); }
-  const std::vector<double>& weights() const { return weights_; }
-  double intercept() const { return intercept_; }
-
- private:
-  Options options_;
-  double intercept_ = 0.0;
-  std::vector<double> weights_;
-};
-
 }  // namespace ads::ml
 
 #endif  // ADS_ML_LINEAR_H_

@@ -32,15 +32,6 @@ void Regressor::PredictBatchRange(const common::Matrix& rows, size_t begin,
   }
 }
 
-std::vector<double> Regressor::PredictBatch(
-    const std::vector<std::vector<double>>& rows) const {
-  auto matrix = common::Matrix::FromRows(rows);
-  ADS_CHECK_OK(matrix.status());
-  std::vector<double> out;
-  PredictBatch(*matrix, &out);
-  return out;
-}
-
 void PredictBatchParallel(const Regressor& model, const common::Matrix& rows,
                           common::ThreadPool& pool, std::vector<double>* out,
                           size_t grain) {

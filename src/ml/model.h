@@ -56,11 +56,6 @@ class Regressor {
   /// ranges (PredictBatchParallel fans chunks out over a thread pool).
   virtual void PredictBatchRange(const common::Matrix& rows, size_t begin,
                                  size_t end, double* out) const;
-
-  /// Convenience overload for vector-of-rows callers; requires equal-arity
-  /// rows.
-  std::vector<double> PredictBatch(
-      const std::vector<std::vector<double>>& rows) const;
 };
 
 /// PredictBatch chunked over `pool`: rows are split into `grain`-sized
@@ -72,24 +67,6 @@ class Regressor {
 void PredictBatchParallel(const Regressor& model, const common::Matrix& rows,
                           common::ThreadPool& pool, std::vector<double>* out,
                           size_t grain = 256);
-
-/// A trainable binary classifier producing P(label == 1).
-class Classifier {
- public:
-  virtual ~Classifier() = default;
-
-  /// Trains on the dataset; labels must be 0 or 1.
-  virtual common::Status Fit(const Dataset& data) = 0;
-  /// Returns P(label == 1 | features).
-  virtual double PredictProbability(
-      const std::vector<double>& features) const = 0;
-  virtual std::string TypeName() const = 0;
-
-  /// Hard decision at the 0.5 threshold.
-  bool PredictLabel(const std::vector<double>& features) const {
-    return PredictProbability(features) >= 0.5;
-  }
-};
 
 /// Reconstructs a regressor from the output of Regressor::Serialize().
 /// Supports the families that the model registry ships across systems:

@@ -87,12 +87,6 @@ common::Result<std::string> ModelRegistry::DeployedBlobLocked(
   return it->second.versions[it->second.deployed - 1].blob;
 }
 
-common::Result<std::string> ModelRegistry::DeployedBlob(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return DeployedBlobLocked(name);
-}
-
 common::Result<std::unique_ptr<Regressor>> ModelRegistry::DeployedModel(
     const std::string& name) const {
   std::string blob;
@@ -108,8 +102,7 @@ common::Result<std::unique_ptr<Regressor>> ModelRegistry::DeployedModel(
 }
 
 common::Status ModelRegistry::StartFlight(const std::string& name,
-                                          uint32_t treatment,
-                                          double fraction) {
+                                          uint32_t treatment) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
@@ -123,12 +116,8 @@ common::Status ModelRegistry::StartFlight(const std::string& name,
   if (treatment == 0 || treatment > e.versions.size()) {
     return common::Status::NotFound("unknown treatment version");
   }
-  if (fraction <= 0.0 || fraction >= 1.0) {
-    return common::Status::InvalidArgument("flight fraction must be in (0,1)");
-  }
   e.flight_active = true;
   e.flight_treatment = treatment;
-  e.flight_fraction = fraction;
   return common::Status::Ok();
 }
 
@@ -152,18 +141,6 @@ bool ModelRegistry::FlightActive(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
   return it != entries_.end() && it->second.flight_active;
-}
-
-uint32_t ModelRegistry::ServingVersion(const std::string& name,
-                                       common::Rng& rng) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(name);
-  if (it == entries_.end()) return 0;
-  const Entry& e = it->second;
-  if (e.flight_active && rng.Bernoulli(e.flight_fraction)) {
-    return e.flight_treatment;
-  }
-  return e.deployed;
 }
 
 std::vector<uint32_t> ModelRegistry::Versions(const std::string& name) const {

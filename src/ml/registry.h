@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "ml/model.h"
 
@@ -22,7 +21,7 @@ namespace ads::ml {
 /// container"), so the registry is independent of model family.
 ///
 /// Thread-safe: every method takes an internal mutex, so serving readers
-/// (DeployedVersion / GetVersion / DeployedBlob from concurrent
+/// (DeployedVersion / GetVersion / DeployedModel from concurrent
 /// PredictBatch paths) may race promote / rollback / flight transitions
 /// from a controller thread. Version swaps are atomic — Register installs
 /// the full blob before the version number is ever visible, and Deploy /
@@ -63,21 +62,18 @@ class ModelRegistry {
   /// The version deployed immediately before the current one (0 if the
   /// deploy history is empty) — the fallback target of Rollback().
   uint32_t PreviousVersion(const std::string& name) const;
-  /// The deployed model blob.
-  common::Result<std::string> DeployedBlob(const std::string& name) const;
   /// Materializes the deployed model.
   common::Result<std::unique_ptr<Regressor>> DeployedModel(
       const std::string& name) const;
 
-  /// Starts a flight (A/B test): fraction of traffic goes to `treatment`.
-  common::Status StartFlight(const std::string& name, uint32_t treatment,
-                             double fraction);
+  /// Starts a flight (A/B test) of `treatment` against the deployed
+  /// version. Which requests the treatment serves is the caller's routing
+  /// decision (autonomy::VersionRouter's tenant slice); the registry only
+  /// records the flight so EndFlight can promote or drop it.
+  common::Status StartFlight(const std::string& name, uint32_t treatment);
   /// Ends the flight; if promote, the treatment becomes deployed.
   common::Status EndFlight(const std::string& name, bool promote);
   bool FlightActive(const std::string& name) const;
-
-  /// Version serving one request under the current flight split.
-  uint32_t ServingVersion(const std::string& name, common::Rng& rng) const;
 
   /// All stored versions of a model (empty if unknown).
   std::vector<uint32_t> Versions(const std::string& name) const;
@@ -92,7 +88,6 @@ class ModelRegistry {
     // Flight state.
     bool flight_active = false;
     uint32_t flight_treatment = 0;
-    double flight_fraction = 0.0;
   };
 
   /// Locked lookup helper (requires mu_ held).

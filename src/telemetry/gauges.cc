@@ -14,14 +14,4 @@ void ScopedGauges::Record(const std::string& name, double time, double value,
   (void)store_->Record(prefix_ + name, merged, time, value);
 }
 
-ScopedGauges ScopedGauges::WithLabels(const LabelSet& more) const {
-  LabelSet merged = labels_;
-  for (const auto& [key, val] : more) merged[key] = val;
-  return ScopedGauges(store_, prefix_, std::move(merged));
-}
-
-ScopedGauges ScopedGauges::WithPrefix(const std::string& suffix) const {
-  return ScopedGauges(store_, prefix_ + suffix, labels_);
-}
-
 }  // namespace ads::telemetry

@@ -34,13 +34,6 @@ class ScopedGauges {
   void Record(const std::string& name, double time, double value,
               const LabelSet& extra = {}) const;
 
-  /// Derived scope with `more` merged into the base labels (more wins) —
-  /// e.g. a per-shard scope forking per-replica scopes.
-  ScopedGauges WithLabels(const LabelSet& more) const;
-
-  /// Derived scope with `suffix` appended to the prefix.
-  ScopedGauges WithPrefix(const std::string& suffix) const;
-
   TelemetryStore* store() const { return store_; }
   const std::string& prefix() const { return prefix_; }
   const LabelSet& labels() const { return labels_; }

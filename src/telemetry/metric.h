@@ -26,18 +26,6 @@ struct MetricSeries {
   std::vector<MetricPoint> points;
 };
 
-/// Aggregations supported by rollups.
-enum class Aggregation { kMean, kSum, kMax, kMin, kCount, kLast };
-
-/// Buckets `points` into fixed windows of `window` seconds starting at the
-/// first point's time and aggregates each bucket. Empty buckets are skipped.
-/// The output point's time is the start of its window.
-std::vector<MetricPoint> Rollup(const std::vector<MetricPoint>& points,
-                                double window, Aggregation agg);
-
-/// Extracts just the values of a series (for feeding forecasters).
-std::vector<double> Values(const std::vector<MetricPoint>& points);
-
 }  // namespace ads::telemetry
 
 #endif  // ADS_TELEMETRY_METRIC_H_

@@ -6,40 +6,6 @@
 
 namespace ads::workload {
 
-std::vector<int> PipelineSpec::Sources() const {
-  std::vector<bool> has_in(job_templates.size(), false);
-  for (const auto& [from, to] : edges) {
-    has_in[static_cast<size_t>(to)] = true;
-  }
-  std::vector<int> out;
-  for (size_t i = 0; i < job_templates.size(); ++i) {
-    if (!has_in[i]) out.push_back(static_cast<int>(i));
-  }
-  return out;
-}
-
-std::vector<int> PipelineSpec::TopologicalOrder() const {
-  std::vector<int> indegree(job_templates.size(), 0);
-  for (const auto& [from, to] : edges) ++indegree[static_cast<size_t>(to)];
-  std::vector<int> ready;
-  for (size_t i = 0; i < job_templates.size(); ++i) {
-    if (indegree[i] == 0) ready.push_back(static_cast<int>(i));
-  }
-  std::vector<int> order;
-  while (!ready.empty()) {
-    int u = ready.back();
-    ready.pop_back();
-    order.push_back(u);
-    for (const auto& [from, to] : edges) {
-      if (from == u && --indegree[static_cast<size_t>(to)] == 0) {
-        ready.push_back(to);
-      }
-    }
-  }
-  ADS_CHECK(order.size() == job_templates.size()) << "pipeline has a cycle";
-  return order;
-}
-
 size_t DailyWorkload::TotalJobs() const {
   size_t n = standalone_templates.size();
   for (const PipelineSpec& p : pipelines) n += p.size();

@@ -20,10 +20,6 @@ struct PipelineSpec {
   std::vector<std::pair<int, int>> edges;
 
   size_t size() const { return job_templates.size(); }
-  /// Indices with no incoming edge.
-  std::vector<int> Sources() const;
-  /// Indices in a valid topological order.
-  std::vector<int> TopologicalOrder() const;
 };
 
 struct PipelineGenOptions {

@@ -117,34 +117,6 @@ TEST(FeedbackTest, AutoRollbackCanBeDisabled) {
   EXPECT_EQ(registry.DeployedVersion("m"), 2u);  // untouched
 }
 
-TEST(RaiTest, FairDecisionsPass) {
-  std::vector<std::pair<std::string, double>> decisions;
-  for (int i = 0; i < 50; ++i) {
-    decisions.emplace_back("big", 10.0);
-    decisions.emplace_back("small", 9.0);
-  }
-  auto report = AuditFairness(decisions);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->fair);
-  EXPECT_TRUE(report->flagged_segments.empty());
-  EXPECT_EQ(report->segments.size(), 2u);
-}
-
-TEST(RaiTest, MarginalizedSegmentFlagged) {
-  std::vector<std::pair<std::string, double>> decisions;
-  for (int i = 0; i < 90; ++i) decisions.emplace_back("big", 10.0);
-  for (int i = 0; i < 10; ++i) decisions.emplace_back("small", 1.0);
-  auto report = AuditFairness(decisions, 0.5);
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report->fair);
-  ASSERT_EQ(report->flagged_segments.size(), 1u);
-  EXPECT_EQ(report->flagged_segments[0], "small");
-}
-
-TEST(RaiTest, EmptyAuditRejected) {
-  EXPECT_FALSE(AuditFairness({}).ok());
-}
-
 TEST(RaiTest, CostGuardrailRejectsExpensiveDecisions) {
   CostGuardrail guard(100.0, /*min_benefit_per_cost=*/1.0);
   EXPECT_TRUE(guard.Approve(50.0, 80.0));

@@ -22,6 +22,12 @@ class FlightTest : public ::testing::Test {
     ADS_CHECK_OK(registry_.Deploy("m", 1));
   }
 
+  /// Arm serving request `i` when traffic alternates between `control`
+  /// and `treatment`, standing in for the serving tier's router.
+  static uint32_t Arm(int i, uint32_t control = 1, uint32_t treatment = 2) {
+    return i % 2 == 0 ? treatment : control;
+  }
+
   ml::ModelRegistry registry_;
 };
 
@@ -36,13 +42,11 @@ TEST_F(FlightTest, StartRequiresDeployedControlAndDistinctTreatment) {
 }
 
 TEST_F(FlightTest, BetterTreatmentGetsPromoted) {
-  FlightEvaluator eval(&registry_, "m",
-                       {.traffic_fraction = 0.5, .min_samples_per_arm = 20});
+  FlightEvaluator eval(&registry_, "m", {.min_samples_per_arm = 20});
   ASSERT_TRUE(eval.Start(2).ok());
-  common::Rng rng(1);
   FlightEvaluator::Decision d = FlightEvaluator::Decision::kPending;
   for (int i = 0; i < 500 && d == FlightEvaluator::Decision::kPending; ++i) {
-    uint32_t v = eval.Route(rng);
+    uint32_t v = Arm(i);
     // Treatment halves the serving error.
     double err = v == 2 ? 0.5 : 1.0;
     d = eval.RecordError(v, err);
@@ -53,13 +57,11 @@ TEST_F(FlightTest, BetterTreatmentGetsPromoted) {
 }
 
 TEST_F(FlightTest, WorseTreatmentGetsAborted) {
-  FlightEvaluator eval(&registry_, "m",
-                       {.traffic_fraction = 0.5, .min_samples_per_arm = 20});
+  FlightEvaluator eval(&registry_, "m", {.min_samples_per_arm = 20});
   ASSERT_TRUE(eval.Start(2).ok());
-  common::Rng rng(2);
   FlightEvaluator::Decision d = FlightEvaluator::Decision::kPending;
   for (int i = 0; i < 500 && d == FlightEvaluator::Decision::kPending; ++i) {
-    uint32_t v = eval.Route(rng);
+    uint32_t v = Arm(i);
     double err = v == 2 ? 2.0 : 1.0;  // treatment regresses
     d = eval.RecordError(v, err);
   }
@@ -70,15 +72,13 @@ TEST_F(FlightTest, WorseTreatmentGetsAborted) {
 
 TEST_F(FlightTest, ComparableArmsStayPending) {
   FlightEvaluator eval(&registry_, "m",
-                       {.traffic_fraction = 0.5,
-                        .min_samples_per_arm = 20,
+                       {.min_samples_per_arm = 20,
                         .promote_ratio = 0.9,
                         .abort_ratio = 1.2});
   ASSERT_TRUE(eval.Start(2).ok());
-  common::Rng rng(3);
   FlightEvaluator::Decision d = FlightEvaluator::Decision::kPending;
   for (int i = 0; i < 300; ++i) {
-    uint32_t v = eval.Route(rng);
+    uint32_t v = Arm(i);
     d = eval.RecordError(v, 1.0);  // identical error
     ASSERT_EQ(d, FlightEvaluator::Decision::kPending);
   }
@@ -88,12 +88,10 @@ TEST_F(FlightTest, ComparableArmsStayPending) {
 }
 
 TEST_F(FlightTest, NoDecisionBeforeMinSamples) {
-  FlightEvaluator eval(&registry_, "m",
-                       {.traffic_fraction = 0.5, .min_samples_per_arm = 50});
+  FlightEvaluator eval(&registry_, "m", {.min_samples_per_arm = 50});
   ASSERT_TRUE(eval.Start(2).ok());
-  common::Rng rng(4);
   for (int i = 0; i < 40; ++i) {
-    uint32_t v = eval.Route(rng);
+    uint32_t v = Arm(i);
     EXPECT_EQ(eval.RecordError(v, v == 2 ? 0.1 : 1.0),
               FlightEvaluator::Decision::kPending);
   }
@@ -105,14 +103,12 @@ TEST_F(FlightTest, InjectedTreatmentFaultsForceAbort) {
   // fault-free predictions are fine.
   common::FaultInjector injector(9);
   injector.Configure("flight.treatment", {.probability = 0.4});
-  FlightEvaluator eval(&registry_, "m",
-                       {.traffic_fraction = 0.5, .min_samples_per_arm = 20});
+  FlightEvaluator eval(&registry_, "m", {.min_samples_per_arm = 20});
   ASSERT_TRUE(eval.Start(2).ok());
-  common::Rng rng(6);
   FlightEvaluator::Decision d = FlightEvaluator::Decision::kPending;
   int faults_seen = 0;
   for (int i = 0; i < 1000 && d == FlightEvaluator::Decision::kPending; ++i) {
-    uint32_t v = eval.Route(rng);
+    uint32_t v = Arm(i);
     double err = 1.0;  // both arms equally accurate when healthy
     if (v == 2 && injector.ShouldFail("flight.treatment")) {
       err = 10.0;  // a failed treatment request serves garbage
@@ -135,13 +131,11 @@ TEST_F(FlightTest, AbortThenRollbackRestoresLastGoodDeployment) {
   ADS_CHECK_OK(registry_.Deploy("m", 2));
   common::FaultInjector injector(3);
   injector.Configure("flight.treatment", {.probability = 1.0});
-  FlightEvaluator eval(&registry_, "m",
-                       {.traffic_fraction = 0.5, .min_samples_per_arm = 10});
+  FlightEvaluator eval(&registry_, "m", {.min_samples_per_arm = 10});
   ASSERT_TRUE(eval.Start(3).ok());
-  common::Rng rng(8);
   FlightEvaluator::Decision d = FlightEvaluator::Decision::kPending;
   for (int i = 0; i < 500 && d == FlightEvaluator::Decision::kPending; ++i) {
-    uint32_t v = eval.Route(rng);
+    uint32_t v = Arm(i, /*control=*/2, /*treatment=*/3);
     double err =
         (v == 3 && injector.ShouldFail("flight.treatment")) ? 10.0 : 1.0;
     d = eval.RecordError(v, err);
@@ -153,20 +147,24 @@ TEST_F(FlightTest, AbortThenRollbackRestoresLastGoodDeployment) {
   EXPECT_EQ(registry_.DeployedVersion("m"), 1u);
 }
 
-TEST_F(FlightTest, RouteAfterDecisionServesDeployedVersion) {
-  FlightEvaluator eval(&registry_, "m",
-                       {.traffic_fraction = 0.5, .min_samples_per_arm = 5});
+TEST_F(FlightTest, DecisionIsFinal) {
+  FlightEvaluator eval(&registry_, "m", {.min_samples_per_arm = 5});
   ASSERT_TRUE(eval.Start(2).ok());
-  common::Rng rng(5);
   FlightEvaluator::Decision d = FlightEvaluator::Decision::kPending;
   for (int i = 0; i < 200 && d == FlightEvaluator::Decision::kPending; ++i) {
-    uint32_t v = eval.Route(rng);
+    uint32_t v = Arm(i);
     d = eval.RecordError(v, v == 2 ? 0.1 : 1.0);
   }
   ASSERT_EQ(d, FlightEvaluator::Decision::kPromoted);
+  const size_t treatment_n = eval.treatment_samples();
+  // Late errors, even terrible ones, neither count nor reopen the flight.
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(eval.Route(rng), 2u);
+    EXPECT_EQ(eval.RecordError(2, 100.0),
+              FlightEvaluator::Decision::kPromoted);
   }
+  EXPECT_EQ(eval.treatment_samples(), treatment_n);
+  EXPECT_EQ(registry_.DeployedVersion("m"), 2u);
+  EXPECT_FALSE(registry_.FlightActive("m"));
 }
 
 }  // namespace

@@ -2,141 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
-#include <limits>
 #include <thread>
 #include <vector>
 
 namespace ads::common {
 namespace {
-
-TEST(RetryPolicyTest, BackoffGrowsExponentiallyAndCaps) {
-  RetryPolicy policy({.max_attempts = 10,
-                      .initial_backoff_seconds = 1.0,
-                      .backoff_multiplier = 2.0,
-                      .max_backoff_seconds = 8.0,
-                      .jitter = 0.0},
-                     1);
-  EXPECT_DOUBLE_EQ(policy.BackoffFor(1), 1.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffFor(2), 2.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffFor(3), 4.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffFor(4), 8.0);
-  EXPECT_DOUBLE_EQ(policy.BackoffFor(5), 8.0);  // capped
-}
-
-TEST(RetryPolicyTest, JitterIsDeterministicAndBounded) {
-  RetryPolicy a({.jitter = 0.25}, 7);
-  RetryPolicy b({.jitter = 0.25}, 7);
-  for (int i = 1; i <= 5; ++i) {
-    double da = a.BackoffFor(i);
-    EXPECT_DOUBLE_EQ(da, b.BackoffFor(i));
-    double nominal = std::min(1.0 * std::pow(2.0, i - 1), 60.0);
-    EXPECT_GE(da, nominal * 0.75);
-    EXPECT_LE(da, nominal * 1.25);
-  }
-}
-
-TEST(RetryPolicyTest, RunRetriesUntilSuccess) {
-  RetryPolicy policy({.max_attempts = 5, .jitter = 0.0}, 1);
-  int calls = 0;
-  RetryResult r = policy.Run([&]() {
-    ++calls;
-    return calls < 3 ? Status::Internal("flaky") : Status::Ok();
-  });
-  EXPECT_TRUE(r.status.ok());
-  EXPECT_EQ(r.attempts, 3);
-  EXPECT_EQ(calls, 3);
-  EXPECT_DOUBLE_EQ(r.total_backoff_seconds, 1.0 + 2.0);
-  EXPECT_EQ(r.give_up_reason, RetryGiveUpReason::kNone);
-}
-
-TEST(RetryPolicyTest, NonRetriableErrorShortCircuits) {
-  RetryPolicy policy({.max_attempts = 5}, 1);
-  int calls = 0;
-  RetryResult r = policy.Run([&]() {
-    ++calls;
-    return Status::InvalidArgument("bad input");
-  });
-  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(r.attempts, 1);
-  EXPECT_EQ(calls, 1);
-  EXPECT_DOUBLE_EQ(r.total_backoff_seconds, 0.0);
-  EXPECT_EQ(r.give_up_reason, RetryGiveUpReason::kNonRetriable);
-}
-
-TEST(RetryPolicyTest, ExhaustsAttemptBudget) {
-  RetryPolicy policy({.max_attempts = 4, .jitter = 0.0}, 1);
-  RetryResult r = policy.Run([]() { return Status::ResourceExhausted("full"); });
-  EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(r.attempts, 4);
-  EXPECT_DOUBLE_EQ(r.total_backoff_seconds, 1.0 + 2.0 + 4.0);
-  // The loop ran out of attempts, not time: callers alerting on give-ups
-  // see the two exits as distinct reasons.
-  EXPECT_EQ(r.give_up_reason, RetryGiveUpReason::kAttemptsExhausted);
-}
-
-TEST(RetryPolicyTest, DeadlineStopsEarly) {
-  RetryPolicy policy({.max_attempts = 10,
-                      .initial_backoff_seconds = 10.0,
-                      .jitter = 0.0,
-                      .deadline_seconds = 25.0},
-                     1);
-  int calls = 0;
-  RetryResult r = policy.Run([&]() {
-    ++calls;
-    return Status::Internal("always fails");
-  });
-  // Backoffs would be 10, 20, 40...; 10 fits, 10+20 exceeds 25.
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(r.status.code(), StatusCode::kInternal);
-  EXPECT_DOUBLE_EQ(r.total_backoff_seconds, 10.0);
-  EXPECT_EQ(r.give_up_reason, RetryGiveUpReason::kDeadlineExceeded);
-}
-
-TEST(RetryPolicyTest, DeadlineAbortDoesNotAdvanceJitterStream) {
-  // Regression: the deadline exit used to draw jitter for a backoff that
-  // was never slept, silently shifting every later delay of a shared
-  // policy relative to a policy that never hit a deadline.
-  RetryOptions with_deadline{.max_attempts = 10,
-                             .initial_backoff_seconds = 10.0,
-                             .jitter = 0.25,
-                             .deadline_seconds = 12.0};
-  RetryOptions no_deadline = with_deadline;
-  no_deadline.deadline_seconds = std::numeric_limits<double>::infinity();
-  RetryPolicy aborted(with_deadline, 42);
-  RetryPolicy fresh(no_deadline, 42);
-  // Backoffs would be ~10, ~20 (jittered); the first fits inside 12, the
-  // second draw must be rolled back when the deadline aborts it.
-  RetryResult r = aborted.Run([]() { return Status::Internal("down"); });
-  EXPECT_EQ(r.give_up_reason, RetryGiveUpReason::kDeadlineExceeded);
-  EXPECT_EQ(r.attempts, 2);
-  // `fresh` consumes the one draw the aborted run legitimately used...
-  (void)fresh.BackoffFor(1);
-  // ...after which both streams must agree exactly.
-  for (int i = 1; i <= 5; ++i) {
-    EXPECT_DOUBLE_EQ(aborted.BackoffFor(i), fresh.BackoffFor(i)) << i;
-  }
-}
-
-TEST(RetryPolicyTest, GiveUpReasonNames) {
-  EXPECT_STREQ(RetryGiveUpReasonName(RetryGiveUpReason::kNone), "none");
-  EXPECT_STREQ(RetryGiveUpReasonName(RetryGiveUpReason::kNonRetriable),
-               "non_retriable");
-  EXPECT_STREQ(RetryGiveUpReasonName(RetryGiveUpReason::kAttemptsExhausted),
-               "attempts_exhausted");
-  EXPECT_STREQ(RetryGiveUpReasonName(RetryGiveUpReason::kDeadlineExceeded),
-               "deadline_exceeded");
-}
-
-TEST(RetryPolicyTest, RetriableCodes) {
-  EXPECT_TRUE(RetryPolicy::IsRetriable(StatusCode::kInternal));
-  EXPECT_TRUE(RetryPolicy::IsRetriable(StatusCode::kResourceExhausted));
-  EXPECT_FALSE(RetryPolicy::IsRetriable(StatusCode::kOk));
-  EXPECT_FALSE(RetryPolicy::IsRetriable(StatusCode::kNotFound));
-  EXPECT_FALSE(RetryPolicy::IsRetriable(StatusCode::kFailedPrecondition));
-}
 
 TEST(CircuitBreakerTest, OpensAfterConsecutiveFailures) {
   CircuitBreaker cb({.failure_threshold = 3, .cooldown_seconds = 10.0});

@@ -364,20 +364,6 @@ TEST(HistogramTest, NonFiniteSamplesAreQuarantined) {
   EXPECT_DOUBLE_EQ(h.Fraction(2), 1.0);  // fractions are over in-range mass
 }
 
-TEST(CorrelationTest, PerfectAndInverse) {
-  std::vector<double> x = {1, 2, 3, 4, 5};
-  std::vector<double> y = {2, 4, 6, 8, 10};
-  std::vector<double> z = {10, 8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(x, y), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation(x, z), -1.0, 1e-12);
-}
-
-TEST(CorrelationTest, DegenerateIsZero) {
-  std::vector<double> x = {1, 1, 1};
-  std::vector<double> y = {2, 5, 9};
-  EXPECT_DOUBLE_EQ(PearsonCorrelation(x, y), 0.0);
-}
-
 TEST(ErrorMetricsTest, KnownValues) {
   std::vector<double> truth = {10, 20, 30};
   std::vector<double> pred = {12, 18, 33};

@@ -17,13 +17,6 @@ TEST(TableTest, RendersAlignedText) {
   EXPECT_NE(text.find("|---"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table t({"a", "b"});
-  t.AddRow({"1", "2"});
-  t.AddRow({"3", "4"});
-  EXPECT_EQ(t.ToCsv(), "a,b\n1,2\n3,4\n");
-}
-
 TEST(TableTest, NumFormatting) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::Num(2.0, 0), "2");

@@ -123,6 +123,30 @@ TEST(HashRingTest, PreferenceOrderStartsAtHomeAndCoversDistinctShards) {
   }
 }
 
+TEST(HashRingTest, ShardForIsPreferenceHeadAcrossMembershipChanges) {
+  // FleetRouter::Route takes the home shard from ShardFor and builds the
+  // preference order only to divert, so the two must agree on every ring
+  // the router can hold: grown, shrunk, and regrown.
+  HashRing ring = RingWithShards(4);
+  const std::vector<std::string> tenants = Tenants(2000);
+  auto expect_agree = [&](const char* stage) {
+    for (const std::string& tenant : tenants) {
+      for (size_t k = 1; k <= ring.shard_count(); ++k) {
+        ASSERT_EQ(ring.ShardFor(tenant), ring.PreferenceOrder(tenant, k)[0])
+            << stage << ", " << tenant << ", k=" << k;
+      }
+    }
+  };
+  expect_agree("4 shards");
+  ring.AddShard(4);
+  expect_agree("after AddShard(4)");
+  ring.RemoveShard(1);
+  expect_agree("after RemoveShard(1)");
+  ring.RemoveShard(0);
+  ring.AddShard(7);
+  expect_agree("after RemoveShard(0), AddShard(7)");
+}
+
 TEST(HashRingTest, FallbackOrderIsStickyUnderGrowth) {
   // Growing the ring must not reshuffle the relative order of surviving
   // shards in a tenant's preference list — the same clockwise walk just

@@ -34,18 +34,16 @@ TEST(MachineStateTest, LifecycleAndAccounting) {
   EXPECT_STREQ(MachineStateName(cluster.machine(2).state()), "healthy");
 }
 
-TEST(MachineStateTest, CrashWipesLoadAndPower) {
+TEST(MachineStateTest, CrashWipesLoad) {
   Cluster cluster;
   cluster.AddMachines(SmallSku(), 1);
   Machine& m = cluster.machine(0);
   m.StartContainer();
   ASSERT_TRUE(m.ReserveTempStorage(5.0));
-  EXPECT_GT(m.PowerWatts(), 0.0);
   m.Crash();
   EXPECT_EQ(m.running_containers(), 0);
   EXPECT_DOUBLE_EQ(m.temp_storage_used_gb(), 0.0);
-  EXPECT_DOUBLE_EQ(m.PowerWatts(), 0.0);
-  EXPECT_DOUBLE_EQ(cluster.RackPowerWatts(0), 0.0);
+  EXPECT_DOUBLE_EQ(m.CpuUtilization(), 0.0);
 }
 
 TEST(SchedulerChaosTest, SkipsUnhealthyMachines) {

@@ -14,8 +14,6 @@ SkuSpec TestSku() {
   sku.util_knee = 0.5;
   sku.slowdown_per_util = 2.0;
   sku.temp_storage_gb = 100.0;
-  sku.idle_watts = 100.0;
-  sku.busy_watts = 300.0;
   return sku;
 }
 
@@ -40,13 +38,6 @@ TEST(MachineTest, SlowdownOnlyAboveKnee) {
   EXPECT_DOUBLE_EQ(m.TaskSlowdown(), 1.0);
   for (int i = 0; i < 4; ++i) m.StartContainer();  // util 0.8
   EXPECT_NEAR(m.TaskSlowdown(), 1.0 + 2.0 * 0.3, 1e-12);
-}
-
-TEST(MachineTest, PowerInterpolatesWithUtilization) {
-  Machine m(0, TestSku(), 0);
-  EXPECT_DOUBLE_EQ(m.PowerWatts(), 100.0);
-  for (int i = 0; i < 5; ++i) m.StartContainer();  // util 0.5
-  EXPECT_DOUBLE_EQ(m.PowerWatts(), 200.0);
 }
 
 TEST(MachineTest, TempStorageReservation) {
@@ -84,22 +75,6 @@ TEST(ClusterTest, MachinesOfSkuFilters) {
   EXPECT_EQ(cluster.MachinesOfSku("gen4").size(), 3u);
   EXPECT_EQ(cluster.MachinesOfSku("gen5").size(), 2u);
   EXPECT_EQ(cluster.sku_names().size(), 2u);
-}
-
-TEST(ClusterTest, RackPowerSumsMachines) {
-  Cluster cluster;
-  cluster.AddMachines(TestSku(), 2, /*racks=*/1);
-  EXPECT_DOUBLE_EQ(cluster.RackPowerWatts(0), 200.0);
-  cluster.machine(0).StartContainer();  // +0.1 util -> +20W
-  EXPECT_DOUBLE_EQ(cluster.RackPowerWatts(0), 220.0);
-}
-
-TEST(ClusterTest, CostPerHourSums) {
-  Cluster cluster;
-  SkuSpec sku = TestSku();
-  sku.cost_per_hour = 2.5;
-  cluster.AddMachines(sku, 4);
-  EXPECT_DOUBLE_EQ(cluster.CostPerHour(), 10.0);
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST(WorkloadAnalyzerTest, TemplatesSortedByOccurrence) {
   }
 }
 
-TEST(WorkloadAnalyzerTest, RuntimeForecastIsHistoryMean) {
+TEST(WorkloadAnalyzerTest, TemplateMeanRuntimeIsHistoryMean) {
   workload::QueryGenerator gen({.seed = 5});
   WorkloadAnalyzer analyzer;
   auto a = gen.InstantiateTemplate(3);
@@ -63,8 +63,11 @@ TEST(WorkloadAnalyzerTest, RuntimeForecastIsHistoryMean) {
   analyzer.ObserveJob(1, *a.plan, 10.0);
   auto b = gen.InstantiateTemplate(3);
   analyzer.ObserveJob(2, *b.plan, 20.0);
-  EXPECT_DOUBLE_EQ(analyzer.ForecastRuntime(sig), 15.0);
-  EXPECT_DOUBLE_EQ(analyzer.ForecastRuntime(999999), 0.0);
+  auto templates = analyzer.Templates();
+  ASSERT_EQ(templates.size(), 1u);
+  EXPECT_EQ(templates[0].template_signature, sig);
+  EXPECT_EQ(templates[0].occurrences, 2u);
+  EXPECT_DOUBLE_EQ(templates[0].mean_runtime(), 15.0);
 }
 
 TEST(WorkloadAnalyzerTest, NodeObservationsAccumulatePerTemplate) {
@@ -84,55 +87,6 @@ TEST(WorkloadAnalyzerTest, NodeObservationsAccumulatePerTemplate) {
   for (const CardObservation& o : it->second) {
     EXPECT_GE(o.true_card, 1.0);
   }
-}
-
-TEST(WorkloadAnalyzerTest, HourlyForecastFollowsDiurnalSubmissions) {
-  workload::QueryGenerator gen({.num_templates = 5, .seed = 7});
-  WorkloadAnalyzer analyzer;
-  // 7 days: 10 jobs during "day" hours (8-18), 2 otherwise.
-  uint64_t id = 1;
-  for (int hour = 0; hour < 7 * 24; ++hour) {
-    int hod = hour % 24;
-    int jobs = (hod >= 8 && hod < 18) ? 10 : 2;
-    for (int j = 0; j < jobs; ++j) {
-      auto job = gen.NextJob();
-      analyzer.ObserveJobAt(id++, *job.plan, 1.0, hour);
-    }
-  }
-  // One hour ahead of the history end (hour 168 = midnight) ~ 2 jobs.
-  auto night = analyzer.ForecastHourlyJobs(1);
-  ASSERT_TRUE(night.ok());
-  EXPECT_NEAR(*night, 2.0, 0.5);
-  // Noon tomorrow (12 hours ahead) ~ 10 jobs.
-  auto noon = analyzer.ForecastHourlyJobs(13);
-  ASSERT_TRUE(noon.ok());
-  EXPECT_NEAR(*noon, 10.0, 0.5);
-}
-
-TEST(WorkloadAnalyzerTest, ShortTimedHistoryFallsBackToEwma) {
-  workload::QueryGenerator gen({.num_templates = 3, .seed = 8});
-  WorkloadAnalyzer analyzer;
-  uint64_t id = 1;
-  for (int hour = 0; hour < 10; ++hour) {
-    for (int j = 0; j < 5; ++j) {
-      auto job = gen.NextJob();
-      analyzer.ObserveJobAt(id++, *job.plan, 1.0, hour);
-    }
-  }
-  auto forecast = analyzer.ForecastHourlyJobs(1);
-  ASSERT_TRUE(forecast.ok());
-  EXPECT_NEAR(*forecast, 5.0, 0.5);
-}
-
-TEST(WorkloadAnalyzerTest, ForecastRequiresTimedObservations) {
-  workload::QueryGenerator gen({.num_templates = 3, .seed = 9});
-  WorkloadAnalyzer analyzer;
-  auto job = gen.NextJob();
-  analyzer.ObserveJob(job.job_id, *job.plan, 1.0);  // untimed
-  EXPECT_FALSE(analyzer.ForecastHourlyJobs(1).ok());
-  analyzer.ObserveJobAt(99, *job.plan, 1.0, 0.0);
-  EXPECT_FALSE(analyzer.ForecastHourlyJobs(0).ok());
-  EXPECT_TRUE(analyzer.ForecastHourlyJobs(1).ok());
 }
 
 TEST(WorkloadAnalyzerTest, EmptyAnalyzerIsZero) {

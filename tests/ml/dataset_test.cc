@@ -64,14 +64,13 @@ TEST(StandardizerTest, ZeroMeanUnitVariance) {
   for (double v : {2.0, 4.0, 6.0, 8.0}) d.Add({v}, 0.0);
   Standardizer s;
   ASSERT_TRUE(s.Fit(d).ok());
-  Dataset t = s.TransformAll(d);
+  std::vector<double> t;
+  for (size_t i = 0; i < d.size(); ++i) t.push_back(s.Transform(d.row(i))[0]);
   double mean = 0.0;
   double var = 0.0;
-  for (size_t i = 0; i < t.size(); ++i) mean += t.row(i)[0];
+  for (double v : t) mean += v;
   mean /= static_cast<double>(t.size());
-  for (size_t i = 0; i < t.size(); ++i) {
-    var += (t.row(i)[0] - mean) * (t.row(i)[0] - mean);
-  }
+  for (double v : t) var += (v - mean) * (v - mean);
   var /= static_cast<double>(t.size());
   EXPECT_NEAR(mean, 0.0, 1e-12);
   EXPECT_NEAR(var, 1.0, 1e-12);

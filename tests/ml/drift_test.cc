@@ -9,45 +9,6 @@
 namespace ads::ml {
 namespace {
 
-TEST(PsiTest, IdenticalDistributionsNearZero) {
-  common::Rng rng(1);
-  std::vector<double> a;
-  std::vector<double> b;
-  for (int i = 0; i < 2000; ++i) {
-    a.push_back(rng.Normal(0, 1));
-    b.push_back(rng.Normal(0, 1));
-  }
-  auto psi = PopulationStabilityIndex(a, b);
-  ASSERT_TRUE(psi.ok());
-  EXPECT_LT(*psi, 0.05);
-}
-
-TEST(PsiTest, ShiftedDistributionsLarge) {
-  common::Rng rng(2);
-  std::vector<double> a;
-  std::vector<double> b;
-  for (int i = 0; i < 2000; ++i) {
-    a.push_back(rng.Normal(0, 1));
-    b.push_back(rng.Normal(3, 1));
-  }
-  auto psi = PopulationStabilityIndex(a, b);
-  ASSERT_TRUE(psi.ok());
-  EXPECT_GT(*psi, 0.5);
-}
-
-TEST(PsiTest, RejectsEmptyInput) {
-  EXPECT_FALSE(PopulationStabilityIndex({}, {1.0}).ok());
-  EXPECT_FALSE(PopulationStabilityIndex({1.0}, {}).ok());
-}
-
-TEST(PsiTest, HandlesConstantSamples) {
-  std::vector<double> a(100, 5.0);
-  std::vector<double> b(100, 5.0);
-  auto psi = PopulationStabilityIndex(a, b);
-  ASSERT_TRUE(psi.ok());
-  EXPECT_NEAR(*psi, 0.0, 1e-9);
-}
-
 TEST(DriftDetectorTest, NoAlarmOnStableErrors) {
   common::Rng rng(3);
   DriftDetector det;

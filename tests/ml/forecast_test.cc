@@ -10,14 +10,11 @@ namespace ads::ml {
 namespace {
 
 // A diurnal-like series: period-24 sinusoid plus level.
-std::vector<double> Diurnal(size_t days, double noise, common::Rng& rng,
-                            double trend_per_step = 0.0) {
+std::vector<double> Diurnal(size_t days, double noise, common::Rng& rng) {
   std::vector<double> out;
   for (size_t t = 0; t < days * 24; ++t) {
     double phase = 2.0 * M_PI * static_cast<double>(t % 24) / 24.0;
-    out.push_back(50.0 + 20.0 * std::sin(phase) +
-                  trend_per_step * static_cast<double>(t) +
-                  rng.Normal(0, noise));
+    out.push_back(50.0 + 20.0 * std::sin(phase) + rng.Normal(0, noise));
   }
   return out;
 }
@@ -44,61 +41,6 @@ TEST(SeasonalNaiveTest, UpdateShiftsWindow) {
 TEST(SeasonalNaiveTest, RejectsShortHistory) {
   SeasonalNaiveForecaster f(24);
   EXPECT_FALSE(f.Fit({1, 2, 3}).ok());
-}
-
-TEST(EwmaTest, ConvergesToConstant) {
-  EwmaForecaster f(0.5);
-  ASSERT_TRUE(f.Fit({10, 10, 10, 10}).ok());
-  EXPECT_NEAR(f.Forecast(1), 10.0, 1e-9);
-  for (int i = 0; i < 50; ++i) f.Update(20.0);
-  EXPECT_NEAR(f.Forecast(1), 20.0, 1e-6);
-}
-
-TEST(EwmaTest, RejectsEmptySeries) {
-  EwmaForecaster f;
-  EXPECT_FALSE(f.Fit({}).ok());
-}
-
-TEST(HoltWintersTest, TracksSeasonalPattern) {
-  common::Rng rng(1);
-  std::vector<double> series = Diurnal(14, 0.5, rng);
-  HoltWintersForecaster f({.period = 24});
-  ASSERT_TRUE(f.Fit(series).ok());
-  // Next step continues the sinusoid at phase 0.
-  double expected = 50.0 + 20.0 * std::sin(0.0);
-  EXPECT_NEAR(f.Forecast(1), expected, 3.0);
-  // Six hours ahead, the peak.
-  double expected6 = 50.0 + 20.0 * std::sin(2.0 * M_PI * 6.0 / 24.0);
-  EXPECT_NEAR(f.Forecast(7), expected6, 4.0);
-}
-
-TEST(HoltWintersTest, CapturesTrend) {
-  common::Rng rng(2);
-  std::vector<double> series = Diurnal(14, 0.1, rng, 0.05);
-  HoltWintersForecaster f({.period = 24});
-  ASSERT_TRUE(f.Fit(series).ok());
-  // 48 steps out the trend adds ~2.4 over the last observation's level.
-  double far = f.Forecast(48);
-  double near = f.Forecast(24);
-  EXPECT_NEAR(far - near, 0.05 * 24.0, 0.6);
-}
-
-TEST(HoltWintersTest, RejectsInsufficientHistory) {
-  HoltWintersForecaster f({.period = 24});
-  EXPECT_FALSE(f.Fit(std::vector<double>(30, 1.0)).ok());
-}
-
-TEST(BacktestTest, SeasonalNaiveBeatsEwmaOnSeasonalData) {
-  common::Rng rng(3);
-  std::vector<double> series = Diurnal(10, 1.0, rng);
-  SeasonalNaiveForecaster naive(24);
-  EwmaForecaster ewma(0.3);
-  auto naive_report = Backtest(naive, series, 48);
-  auto ewma_report = Backtest(ewma, series, 48);
-  ASSERT_TRUE(naive_report.ok());
-  ASSERT_TRUE(ewma_report.ok());
-  EXPECT_LT(naive_report->mape, ewma_report->mape);
-  EXPECT_GT(naive_report->evaluations, 0u);
 }
 
 TEST(BacktestTest, PerfectForecastHasZeroError) {

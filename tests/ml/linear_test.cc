@@ -79,44 +79,5 @@ TEST(LinearRegressorTest, InferenceCostScalesWithDims) {
   EXPECT_DOUBLE_EQ(model.InferenceCost(), 5.0);  // 2*2 + 1
 }
 
-TEST(LogisticRegressorTest, SeparableData) {
-  // Class 1 iff x > 0.
-  common::Rng rng(6);
-  Dataset d({"x"});
-  for (int i = 0; i < 400; ++i) {
-    double x = rng.Uniform(-3, 3);
-    d.Add({x}, x > 0 ? 1.0 : 0.0);
-  }
-  LogisticRegressor model({.learning_rate = 0.5, .epochs = 500});
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_GT(model.PredictProbability({2.0}), 0.9);
-  EXPECT_LT(model.PredictProbability({-2.0}), 0.1);
-  EXPECT_TRUE(model.PredictLabel({1.0}));
-  EXPECT_FALSE(model.PredictLabel({-1.0}));
-}
-
-TEST(LogisticRegressorTest, RejectsNonBinaryLabels) {
-  Dataset d({"x"});
-  d.Add({1.0}, 2.0);
-  LogisticRegressor model;
-  EXPECT_FALSE(model.Fit(d).ok());
-}
-
-TEST(LogisticRegressorTest, ProbabilityIsCalibratedOnNoisyData) {
-  // P(y=1) = sigmoid(2x): check the fitted model's probabilities track.
-  common::Rng rng(7);
-  Dataset d({"x"});
-  for (int i = 0; i < 3000; ++i) {
-    double x = rng.Uniform(-2, 2);
-    double p = 1.0 / (1.0 + std::exp(-2.0 * x));
-    d.Add({x}, rng.Bernoulli(p) ? 1.0 : 0.0);
-  }
-  LogisticRegressor model({.learning_rate = 0.5, .epochs = 800});
-  ASSERT_TRUE(model.Fit(d).ok());
-  EXPECT_NEAR(model.PredictProbability({0.0}), 0.5, 0.06);
-  EXPECT_NEAR(model.PredictProbability({1.0}),
-              1.0 / (1.0 + std::exp(-2.0)), 0.08);
-}
-
 }  // namespace
 }  // namespace ads::ml

@@ -135,23 +135,6 @@ TEST(PredictBatchPropertyTest, BatchedMatchesScalarBitForBit) {
   }
 }
 
-TEST(PredictBatchPropertyTest, VectorOfRowsOverloadAgrees) {
-  Dataset data = MakeTrainingData(3, 120, 4);
-  common::Matrix queries = MakeQueries(3, 50, 4);
-  std::vector<std::vector<double>> rows;
-  rows.reserve(queries.rows());
-  for (size_t r = 0; r < queries.rows(); ++r) rows.push_back(queries.Row(r));
-  for (const auto& [name, model] : FitAllFamilies(data, 3)) {
-    std::vector<double> from_matrix;
-    model->PredictBatch(queries, &from_matrix);
-    std::vector<double> from_rows = model->PredictBatch(rows);
-    ASSERT_EQ(from_rows.size(), from_matrix.size()) << name;
-    for (size_t r = 0; r < from_rows.size(); ++r) {
-      EXPECT_TRUE(BitEqual(from_rows[r], from_matrix[r])) << name << " " << r;
-    }
-  }
-}
-
 TEST(PredictBatchPropertyTest, EmptyBatchIsANoOp) {
   Dataset data = MakeTrainingData(5, 80, 3);
   common::Matrix empty(0, 0);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "ml/linear.h"
 
 namespace ads::ml {
@@ -90,28 +89,13 @@ TEST(RegistryTest, ChainedRollbacksWalkHistoryInReverse) {
   EXPECT_DOUBLE_EQ((*model)->Predict({2.0}), 2.0);
 }
 
-TEST(RegistryTest, FlightSplitsTraffic) {
-  ModelRegistry reg;
-  reg.Register("m", FakeBlob(1));
-  reg.Register("m", FakeBlob(2));
-  ASSERT_TRUE(reg.Deploy("m", 1).ok());
-  ASSERT_TRUE(reg.StartFlight("m", 2, 0.3).ok());
-  EXPECT_TRUE(reg.FlightActive("m"));
-  common::Rng rng(1);
-  int treatment = 0;
-  constexpr int kN = 5000;
-  for (int i = 0; i < kN; ++i) {
-    if (reg.ServingVersion("m", rng) == 2) ++treatment;
-  }
-  EXPECT_NEAR(static_cast<double>(treatment) / kN, 0.3, 0.03);
-}
-
 TEST(RegistryTest, EndFlightPromoteDeploysTreatment) {
   ModelRegistry reg;
   reg.Register("m", FakeBlob(1));
   reg.Register("m", FakeBlob(2));
   ASSERT_TRUE(reg.Deploy("m", 1).ok());
-  ASSERT_TRUE(reg.StartFlight("m", 2, 0.5).ok());
+  ASSERT_TRUE(reg.StartFlight("m", 2).ok());
+  EXPECT_TRUE(reg.FlightActive("m"));
   ASSERT_TRUE(reg.EndFlight("m", /*promote=*/true).ok());
   EXPECT_EQ(reg.DeployedVersion("m"), 2u);
   EXPECT_FALSE(reg.FlightActive("m"));
@@ -125,7 +109,7 @@ TEST(RegistryTest, EndFlightWithoutPromoteKeepsControl) {
   reg.Register("m", FakeBlob(1));
   reg.Register("m", FakeBlob(2));
   ASSERT_TRUE(reg.Deploy("m", 1).ok());
-  ASSERT_TRUE(reg.StartFlight("m", 2, 0.5).ok());
+  ASSERT_TRUE(reg.StartFlight("m", 2).ok());
   ASSERT_TRUE(reg.EndFlight("m", /*promote=*/false).ok());
   EXPECT_EQ(reg.DeployedVersion("m"), 1u);
 }
@@ -134,11 +118,10 @@ TEST(RegistryTest, FlightValidation) {
   ModelRegistry reg;
   reg.Register("m", FakeBlob(1));
   // No deployed control yet.
-  EXPECT_FALSE(reg.StartFlight("m", 1, 0.5).ok());
+  EXPECT_FALSE(reg.StartFlight("m", 1).ok());
   ASSERT_TRUE(reg.Deploy("m", 1).ok());
-  EXPECT_FALSE(reg.StartFlight("m", 9, 0.5).ok());
-  EXPECT_FALSE(reg.StartFlight("m", 1, 0.0).ok());
-  EXPECT_FALSE(reg.StartFlight("m", 1, 1.0).ok());
+  EXPECT_FALSE(reg.StartFlight("m", 9).ok());
+  EXPECT_FALSE(reg.StartFlight("x", 1).ok());
   EXPECT_FALSE(reg.EndFlight("m", true).ok());
 }
 
@@ -158,7 +141,7 @@ TEST(RegistryTest, RollbackCancelsFlight) {
   reg.Register("m", FakeBlob(3));
   ASSERT_TRUE(reg.Deploy("m", 1).ok());
   ASSERT_TRUE(reg.Deploy("m", 2).ok());
-  ASSERT_TRUE(reg.StartFlight("m", 3, 0.5).ok());
+  ASSERT_TRUE(reg.StartFlight("m", 3).ok());
   ASSERT_TRUE(reg.Rollback("m").ok());
   EXPECT_FALSE(reg.FlightActive("m"));
   EXPECT_EQ(reg.DeployedVersion("m"), 1u);

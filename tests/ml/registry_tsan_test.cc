@@ -50,7 +50,7 @@ TEST(RegistryTsanTest, ConcurrentPromoteRollbackVsServingReaders) {
           registry.Register("m", BlobWithSlope(static_cast<double>(i % 7)));
       ASSERT_TRUE(registry.Deploy("m", v).ok());
       ASSERT_TRUE(registry.Rollback("m").ok());
-      if (registry.StartFlight("m", v, 0.25).ok()) {
+      if (registry.StartFlight("m", v).ok()) {
         ASSERT_TRUE(registry.EndFlight("m", i % 2 == 0).ok());
       }
       (void)registry.DeployedModel("m");
